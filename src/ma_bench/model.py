@@ -62,6 +62,9 @@ class SystemParams:
             raise ValueError("min_subchannel_hz exceeds bandwidth_hz")
         if self.pathloss_exp <= 2:
             raise ValueError("pathloss_exp must be > 2 (finite gain moments)")
+        if not self.bandwidth_hz * self.slot_s > 0 or self.spectral_load >= 1024:
+            raise ValueError("payload_bits / (bandwidth_hz * slot_s) must be < 1024, "
+                             "or the SNR floor 2**(that ratio) - 1 is not finite")
 
     @property
     def spectral_load(self) -> float:

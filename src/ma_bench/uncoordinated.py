@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import FDMA, NOMA, TDMA, Infeasible, SystemParams, TrafficModel
 
 NOMINAL = "nominal"
@@ -30,6 +32,8 @@ SNR_RULES = (NOMINAL, REDERIVED)
 # Guard for comparisons that sit exactly on the SIC rate boundary after a
 # root-finding step; affects only realizations within 1e-9 relative of it.
 _RATE_TOL = 1e-9
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -62,41 +66,55 @@ class UncoordinatedAnalysis:
     expected_success: float       # packets delivered per slot
 
 
+def _log_gain_threshold(scheme: str, partitions, params: SystemParams):
+    """Natural log of ``gain_threshold``, for one partition count or an array.
+
+    The SNR a partition needs, 2**(spectral_load * N) - 1, is e**y (1 - e**-y)
+    with y = spectral_load * N * ln 2, so its log y + log(-expm1(-y)) stays
+    finite where the power itself overflows.
+    """
+    y = params.spectral_load * partitions * _LN2
+    log_need = y + np.log(-np.expm1(-y))
+    if scheme == FDMA:
+        return log_need - np.log(partitions * params.ref_snr)
+    if scheme == TDMA:
+        return log_need - math.log(params.ref_snr)
+    raise ValueError(f"gain threshold undefined for scheme {scheme!r}")
+
+
 def gain_threshold(scheme: str, partitions: int, params: SystemParams) -> float:
     """Smallest channel gain at which full power covers one partition's rate.
 
     A device holding one of ``partitions`` equal shares must clear
     2**(spectral_load * partitions) - 1 received SNR; splitting the band
     (FDMA) concentrates the transmit power by the same factor, splitting
-    time (TDMA) does not.
+    time (TDMA) does not. A threshold beyond the float range is ``inf``.
     """
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    need = 2.0 ** (params.spectral_load * partitions) - 1.0
-    if scheme == FDMA:
-        return need / (partitions * params.ref_snr)
-    if scheme == TDMA:
-        return need / params.ref_snr
-    raise ValueError(f"gain threshold undefined for scheme {scheme!r}")
+    log_threshold = _log_gain_threshold(scheme, partitions, params)
+    try:
+        return math.exp(log_threshold)
+    except OverflowError:
+        return math.inf
 
 
-def _gain_tail_probability(threshold: float, pathloss_exp: float) -> float:
-    """P(gain >= threshold) under uniform placement: min(1, t**(-2/gamma))."""
-    if threshold <= 1.0:
-        return 1.0
-    return threshold ** (-2.0 / pathloss_exp)
+def _gain_tail_probability(log_threshold, pathloss_exp: float):
+    """P(gain >= threshold) under uniform placement, min(1, t**(-2/gamma)),
+    from log t; elementwise over arrays."""
+    return np.exp(np.minimum(0.0, (-2.0 / pathloss_exp) * log_threshold))
 
 
 def fdma_tx_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
     """Probability an active device can afford its subchannel and transmits."""
-    return _gain_tail_probability(
-        gain_threshold(FDMA, design.partitions, params), params.pathloss_exp)
+    return float(_gain_tail_probability(
+        _log_gain_threshold(FDMA, design.partitions, params), params.pathloss_exp))
 
 
 def tdma_tx_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
     """Probability an active device can afford its sub-slot and transmits."""
-    return _gain_tail_probability(
-        gain_threshold(TDMA, design.partitions, params), params.pathloss_exp)
+    return float(_gain_tail_probability(
+        _log_gain_threshold(TDMA, design.partitions, params), params.pathloss_exp))
 
 
 def collision_probability(expected_transmitting: float, partitions: int) -> float:
@@ -144,7 +162,8 @@ def noma_feasibility_probability(target_snr: float, params: SystemParams) -> flo
     its power fraction target_snr / (ref_snr * gain) must not exceed 1."""
     if target_snr <= 0:
         raise ValueError("target_snr must be > 0")
-    return _gain_tail_probability(target_snr / params.ref_snr, params.pathloss_exp)
+    return float(_gain_tail_probability(math.log(target_snr / params.ref_snr),
+                                        params.pathloss_exp))
 
 
 def noma_supported(transmitting: float, target_snr: float, params: SystemParams) -> bool:
@@ -209,30 +228,6 @@ def uncoordinated_throughput(design: UncoordinatedDesign, params: SystemParams,
                                  transmitting * (1.0 - collision))
 
 
-def _golden_section_max(objective, lo: float, hi: float, tol: float = 1e-12):
-    """Best evaluated point of a unimodal objective on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def max_partitions(scheme: str, params: SystemParams) -> int:
     """Most partitions the smallest usable partition size allows.
 
@@ -252,31 +247,32 @@ def optimize_design(scheme: str, params: SystemParams,
                     traffic: TrafficModel) -> UncoordinatedDesign:
     """Access probability and partition count maximizing expected successes.
 
-    For a fixed partition count the expected success is unimodal in the
-    expected transmitter count, so the access probability comes from a
-    golden-section search (plus the interval endpoints, so that boundary
-    optima are hit exactly); partition counts are scanned exhaustively.
-    Ties break toward fewer partitions, then a smaller access probability.
+    Solved in closed form for every partition count N at once. With
+    A = arrival_rate * slot_s devices active at full access, at most
+    A * p_tx(N) transmit, and m (1 - 1/N)**(m - 1) peaks at the
+    slotted-ALOHA load m* = -1 / log(1 - 1/N) (m* = 1 for N = 1). So the
+    best access probability is 1 while A * p_tx <= m*, and m* / (A * p_tx)
+    beyond it. Ties break toward fewer partitions; with nothing to deliver
+    (zero load) the design is N = 1, access probability 0.
     """
     if scheme not in (FDMA, TDMA):
         raise ValueError("optimize_design covers fdma and tdma only")
-    active_full = traffic.arrival_rate * params.slot_s
-    tail = fdma_tx_probability if scheme == FDMA else tdma_tx_probability
-
-    best_n, best_p, best_s = 1, 0.0, -1.0
-    for n in range(1, max_partitions(scheme, params) + 1):
-        p_tx = tail(UncoordinatedDesign(scheme, 1.0, n), params)
-
-        def success(p):
-            m = p * active_full * p_tx
-            return m * (1.0 - collision_probability(m, n))
-
-        inner_x, inner_f = _golden_section_max(success, 0.0, 1.0)
-        candidates = sorted([(0.0, success(0.0)), (inner_x, inner_f), (1.0, success(1.0))])
-        p_best, s_best = candidates[0]
-        for p, s in candidates[1:]:
-            if s > s_best:
-                p_best, s_best = p, s
-        if s_best > best_s:
-            best_n, best_p, best_s = n, p_best, s_best
-    return UncoordinatedDesign(scheme, access_prob=best_p, partitions=best_n)
+    n = np.arange(1, max_partitions(scheme, params) + 1, dtype=float)
+    feasible = traffic.arrival_rate * params.slot_s * _gain_tail_probability(
+        _log_gain_threshold(scheme, n, params), params.pathloss_exp)
+    peak = np.ones_like(n)
+    peak[1:] = -1.0 / np.log1p(-1.0 / n[1:])
+    load = np.minimum(feasible, peak)
+    # the expected success uncoordinated_throughput reports at this load
+    success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
+    best = int(np.argmax(success))
+    if not success[best] > 0.0:
+        return UncoordinatedDesign(scheme, access_prob=0.0, partitions=1)
+    access = 1.0 if feasible[best] <= peak[best] else float(peak[best] / feasible[best])
+    design = UncoordinatedDesign(scheme, access_prob=access, partitions=best + 1)
+    # A lone partition delivers nothing above one transmitter, so the load
+    # uncoordinated_throughput computes from this design must not round past it.
+    while best == 0 and uncoordinated_throughput(
+            design, params, traffic).expected_transmitting > 1.0:
+        design = UncoordinatedDesign(scheme, math.nextafter(design.access_prob, 0.0), 1)
+    return design

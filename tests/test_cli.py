@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ma_bench.cli import (ConfigError, RunConfig, emit_csv, main,
@@ -136,6 +138,37 @@ def test_cap_prints_capacity_bound(capsys):
     assert abs(float(values["noma_device_cap"]) - 1442.20) <= 0.01
     assert abs(float(values["noma_target_snr"]) - 0.0022614452377472614) < 1e-9
     assert values["fdma_partitions"] == "1000"
+
+
+def test_cap_at_two_bits_per_hertz_prints_finite_result(capsys):
+    # 2**(spectral_load * partitions) overflows a float from 512 partitions on
+    status, out, err = run(["cap", "--payload-bits", "2e6"], capsys)
+    assert status == 0 and err == ""
+    values = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert all(math.isfinite(float(value)) for value in values.values())
+    assert 1 <= int(values["fdma_partitions"]) <= 1000
+
+
+def test_analytic_sweep_at_two_bits_per_hertz_is_finite(tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, _, _ = run(["sweep", "--payload-bits", "2e6",
+                        "--schemes", "uncoordinated-fdma", "--mode", "analytic",
+                        "--lambda-min", "1000", "--lambda-max", "20000",
+                        "--lambda-steps", "3", "--output", str(out_path)], capsys)
+    assert status == 0
+    rows = out_path.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
+
+def test_cap_with_infinite_snr_floor_is_one_error_line(capsys):
+    # spectral load 2000: 2**2000 - 1 is beyond the float range
+    status, out, err = run(["cap", "--payload-bits", "2e9"], capsys)
+    assert status == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_sweep_writes_csv_and_reports(tmp_path, capsys):

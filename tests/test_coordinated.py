@@ -78,13 +78,8 @@ def test_min_bandwidth_converged_bracket_straddles_root(params):
     # the returned width delivers the payload; one float below does not
     for gain in (1.0, 7.5, 120.0, 3e4):
         w = fdma_min_bandwidth(gain, params)
-
-        def deliverable(width):
-            return width * params.slot_s * math.log2(
-                1.0 + params.ref_snr * params.bandwidth_hz * gain / width)
-
-        assert deliverable(w) >= params.payload_bits
-        assert deliverable(np.nextafter(w, 0.0)) < params.payload_bits
+        assert delivered(w, gain, params) >= params.payload_bits
+        assert delivered(np.nextafter(w, 0.0), gain, params) < params.payload_bits
 
 
 def test_min_bandwidth_residual_random_draws():

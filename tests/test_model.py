@@ -143,9 +143,18 @@ def test_system_params_validation():
         SystemParams(min_subchannel_hz=2e6)   # exceeds the band
 
 
+def test_system_params_reject_infinite_snr_floor():
+    with pytest.raises(ValueError, match="SNR floor"):
+        SystemParams(payload_bits=1.024e9)    # 2**1024 overflows
+    with pytest.raises(ValueError, match="SNR floor"):
+        SystemParams(bandwidth_hz=1e-200, slot_s=1e-200, min_slot_s=1e-201,
+                     min_subchannel_hz=1e-201)   # the resource block underflows
+
+
 def test_snr_floor_matches_definition(params):
     assert params.snr_floor == pytest.approx(2.0 ** 0.001 - 1.0, rel=1e-15)
     assert SystemParams(payload_bits=1e6).snr_floor == 1.0
+    assert math.isfinite(SystemParams(payload_bits=1.0239e9).snr_floor)
 
 
 def test_digest_tracks_parameters(params):

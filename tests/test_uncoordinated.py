@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       TrafficModel, UncoordinatedDesign, collision_probability,
@@ -64,6 +65,26 @@ def test_gain_threshold_shapes(params):
     assert gain_threshold("fdma", 2000, params) < gain_threshold("tdma", 2000, params)
     with pytest.raises(ValueError):
         gain_threshold("noma", 10, params)
+
+
+def test_gain_threshold_matches_direct_form():
+    params = SystemParams(payload_bits=3e4, ref_snr=0.2)
+    for n in (1, 2, 7, 100, 1000):
+        need = 2.0 ** (params.spectral_load * n) - 1.0
+        assert gain_threshold("fdma", n, params) == pytest.approx(
+            need / (n * params.ref_snr), rel=1e-13)
+        assert gain_threshold("tdma", n, params) == pytest.approx(
+            need / params.ref_snr, rel=1e-13)
+
+
+def test_threshold_beyond_float_range_is_inf_and_tail_stays_finite():
+    # 2 bits/s/Hz: 2**(2 * 600) overflows a float, its log does not
+    params = SystemParams(payload_bits=2e6, min_subchannel_hz=1.0, min_slot_s=1e-6)
+    assert gain_threshold("tdma", 600, params) == math.inf
+    assert gain_threshold("fdma", 10**6, params) == math.inf
+    tail = tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, 600), params)
+    assert tail == pytest.approx(2.0 ** -600, rel=1e-12)     # (2**1200)**(-1/2)
+    assert fdma_tx_probability(UncoordinatedDesign("fdma", 1.0, 10**6), params) == 0.0
 
 
 # --- collisions ---------------------------------------------------------------
@@ -243,6 +264,76 @@ def test_optimizer_matches_brute_force_small(scheme):
     assert s_opt >= s_bf - 1e-12
 
 
+def dense_search_design(scheme, params, traffic, grid_points=401, refine_steps=100):
+    """Reference optimizer: for every partition count, the best point of a
+    dense access-probability grid, refined by ternary search between its grid
+    neighbours (the expected success is unimodal in the access probability).
+    Ties go to fewer partitions. Returns (partitions, access, success)."""
+    def success(n, p):
+        return uncoordinated_throughput(UncoordinatedDesign(scheme, p, n), params,
+                                        traffic).expected_success
+
+    grid = np.linspace(0.0, 1.0, grid_points)
+    best = (1, 0.0, -1.0)
+    for n in range(1, max_partitions(scheme, params) + 1):
+        values = [success(n, float(p)) for p in grid]
+        i = int(np.argmax(values))
+        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid_points - 1)])
+        for _ in range(refine_steps):
+            a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            if success(n, a) >= success(n, b):
+                hi = b
+            else:
+                lo = a
+        p, s = max((float(grid[i]), values[i]), (lo, success(n, lo)),
+                   key=lambda candidate: candidate[1])
+        if s > best[2]:
+            best = (n, p, s)
+    return best
+
+
+def minima_for(partitions, **kw):
+    """Parameters whose partition minima allow exactly ``partitions`` shares."""
+    return SystemParams(min_subchannel_hz=1e6 / partitions,
+                        min_slot_s=1.0 / partitions, **kw)
+
+
+@pytest.mark.parametrize("scheme", ["fdma", "tdma"])
+@pytest.mark.parametrize("params, lam", [
+    (minima_for(16), 0.0),                      # nothing to deliver
+    (minima_for(1), 0.5),                       # one partition, under one transmitter
+    (minima_for(1, payload_bits=1.5e7), 212.0),  # one partition, saturated:
+    # 1 / (A p_tx) rounds to a load just past one transmitter, where it fails
+    (minima_for(32), 10.0),                     # unsaturated: full access
+    (minima_for(32, ref_snr=0.02), 300.0),      # saturated, weak channels
+    (minima_for(48, ref_snr=0.2, pathloss_exp=3.0), 2000.0),
+])
+def test_optimizer_matches_dense_search(scheme, params, lam):
+    traffic = TrafficModel(lam)
+    design = optimize_design(scheme, params, traffic)
+    n_ref, _, s_ref = dense_search_design(scheme, params, traffic)
+    assert design.partitions == n_ref
+    achieved = uncoordinated_throughput(design, params, traffic).expected_success
+    assert achieved == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+    if lam == 0.0:
+        assert (design.partitions, design.access_prob) == (1, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["fdma", "tdma"])
+def test_optimizer_at_a_hundred_thousand_partitions(scheme, params):
+    fine = SystemParams(min_subchannel_hz=10.0, min_slot_s=1e-5)
+    assert max_partitions(scheme, fine) == 100_000
+    traffic = TrafficModel(20000.0)
+    design = optimize_design(scheme, fine, traffic)
+    assert 1 <= design.partitions <= 100_000
+    assert 0.0 <= design.access_prob <= 1.0
+    # more admissible partition counts can only help
+    coarse = optimize_design(scheme, params, traffic)
+    assert (uncoordinated_throughput(design, fine, traffic).expected_success
+            >= uncoordinated_throughput(coarse, params, traffic).expected_success
+            * (1.0 - 1e-12))
+
+
 def test_optimizer_low_load_keeps_full_access(params):
     design = optimize_design("fdma", params, TrafficModel(5.0))
     assert design.access_prob == 1.0
@@ -269,3 +360,53 @@ def test_optimizer_stationary_point_at_thousand_partitions(params):
     assert design.partitions == 1000
     achieved = design.access_prob * 20000.0 * fdma_tx_probability(design, params)
     assert achieved == pytest.approx(ALOHA_PEAK_LOAD_1000, rel=1e-3)
+
+
+# --- properties over the valid parameter domain ---------------------------------
+
+@st.composite
+def params_and_load(draw):
+    """A valid parameter set with at most 2000 partitions per scheme, and a load."""
+    bandwidth = draw(st.floats(1e4, 1e8))
+    slot = draw(st.floats(1e-3, 10.0))
+    params = SystemParams(
+        bandwidth_hz=bandwidth, slot_s=slot,
+        payload_bits=bandwidth * slot * draw(st.floats(1e-6, 30.0)),
+        ref_snr=draw(st.floats(1e-6, 1e4)),
+        pathloss_exp=draw(st.floats(2.01, 8.0)),
+        min_subchannel_hz=bandwidth / draw(st.integers(1, 2000)),
+        min_slot_s=slot / draw(st.integers(1, 2000)))
+    return params, TrafficModel(draw(st.floats(0.0, 1e6)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(params_and_load())
+def test_tails_in_unit_interval_and_tdma_non_increasing(case):
+    params, _ = case
+    n_max = max(max_partitions("fdma", params), max_partitions("tdma", params))
+    tdma = np.array([tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, n), params)
+                     for n in range(1, n_max + 1)])
+    fdma = np.array([fdma_tx_probability(UncoordinatedDesign("fdma", 1.0, n), params)
+                     for n in range(1, n_max + 1)])
+    assert np.all((tdma >= 0.0) & (tdma <= 1.0))
+    assert np.all((fdma >= 0.0) & (fdma <= 1.0))
+    assert np.all(np.diff(tdma) <= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(params_and_load(), st.sampled_from(["fdma", "tdma"]), st.data())
+def test_optimizer_beats_every_sampled_design(case, scheme, data):
+    params, traffic = case
+    design = optimize_design(scheme, params, traffic)
+    n_max = max_partitions(scheme, params)
+    assert 1 <= design.partitions <= n_max
+    assert 0.0 <= design.access_prob <= 1.0
+    best = uncoordinated_throughput(design, params, traffic).expected_success
+    for _ in range(20):
+        other = UncoordinatedDesign(scheme, data.draw(st.floats(0.0, 1.0)),
+                                    data.draw(st.integers(1, n_max)))
+        sampled = uncoordinated_throughput(other, params, traffic).expected_success
+        assert best >= sampled * (1.0 - 1e-12)
