@@ -13,8 +13,9 @@ from .uncoordinated import (NOMINAL, REDERIVED, UncoordinatedAnalysis,
                             fdma_tx_probability, noma_design, noma_device_cap,
                             noma_feasibility_probability, noma_required_snr,
                             optimize_design, tdma_tx_probability,
-                            uncoordinated_throughput)
-from .sim import (SchemeConfig, SweepRow, TrialOutcome, TrialStats, aggregate,
-                  analytic_rows, resolve_design, run_sweep, run_trial)
+                            transmit_probability, uncoordinated_throughput)
+from .sim import (BLOCK_TRIALS, SchemeConfig, SweepRow, TrialCounts, TrialStats,
+                  aggregate, analytic_rows, resolve_design, run_sweep, run_trial,
+                  simulate_point)
 
 __version__ = "0.1.0"

@@ -259,9 +259,9 @@ def _cmd_coordinated(config: RunConfig, arrival_rate: float) -> int:
           f"seed={config.master_seed}  enforce_minimum={config.enforce_minimum}")
     print(f"{'scheme':<20} {'mean_served':>12} {'throughput_pps':>15} {'ci95':>10}")
     for scheme_config in _scheme_configs(config, COORDINATED):
-        outcomes = sim._trial_block(scheme_config, config.params, traffic,
+        counts = sim.simulate_point(scheme_config, config.params, traffic,
                                     config.master_seed, 0, config.trials)
-        stats = sim.aggregate(outcomes, config.params)
+        stats = sim.aggregate(counts.served, config.params)
         print(f"{scheme_config.tag:<20} {stats.mean_served:>12.3f} "
               f"{stats.mean_throughput_pps:>15.3f} {stats.ci95_halfwidth_pps:>10.3f}")
     return 0
@@ -289,9 +289,9 @@ def _cmd_uncoordinated(config: RunConfig, arrival_rate: float) -> int:
                 f"{analysis.collision_prob:>8.4f} "
                 f"{analysis.expected_success / config.params.slot_s:>13.3f}")
         if with_mc:
-            outcomes = sim._trial_block(concrete, config.params, traffic,
+            counts = sim.simulate_point(concrete, config.params, traffic,
                                         config.master_seed, 0, config.trials)
-            stats = sim.aggregate(outcomes, config.params)
+            stats = sim.aggregate(counts.served, config.params)
             line += (f" {stats.mean_throughput_pps:>10.3f} "
                      f"{stats.ci95_halfwidth_pps:>9.3f}")
         print(line)

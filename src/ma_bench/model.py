@@ -65,6 +65,9 @@ class SystemParams:
         if not self.bandwidth_hz * self.slot_s > 0 or self.spectral_load >= 1024:
             raise ValueError("payload_bits / (bandwidth_hz * slot_s) must be < 1024, "
                              "or the SNR floor 2**(that ratio) - 1 is not finite")
+        if not self.snr_floor > 0:
+            raise ValueError("payload_bits / (bandwidth_hz * slot_s) is too small: "
+                             "the SNR floor 2**(that ratio) - 1 rounds to 0")
 
     @property
     def spectral_load(self) -> float:
@@ -150,9 +153,15 @@ def sample_placement(count: int, rng: np.random.Generator) -> np.ndarray:
     return placement_from_uniform(1.0 - rng.random(count))
 
 
-def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generator) -> int:
-    """Number of devices with a packet in one slot: Poisson(arrival_rate * slot_s)."""
+def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generator,
+                    size: int | None = None):
+    """Number of devices with a packet in one slot: Poisson(arrival_rate * slot_s).
+
+    With ``size``, an int64 array of that many independent slots.
+    """
     mean = traffic.arrival_rate * slot_s
+    if size is not None:
+        return rng.poisson(mean, size=size)
     if mean == 0.0:
         return 0
     return int(rng.poisson(mean))
@@ -179,11 +188,13 @@ def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) 
     return DeviceSet(np.sort(np.asarray(g))[::-1])
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible generator for one trial.
+def trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
+    """Independent, reproducible generator for one substream.
 
-    Substreams are keyed on (master_seed, trial_index), so trials can run
-    in any order or concurrently and still draw identical values.
+    Substreams are keyed on (master_seed, *indices), e.g. (master_seed,
+    point, block) in the Monte Carlo engine, so they can run in any order or
+    concurrently and still draw identical values. SeedSequence pads short
+    keys with zeros: trailing zero indices leave the stream unchanged.
     """
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((master_seed, trial_index))))
+        np.random.SeedSequence((master_seed, *indices))))

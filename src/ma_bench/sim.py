@@ -1,26 +1,33 @@
 """
 Seeded Monte Carlo engine.
 
-Every trial realizes one slot: Poisson arrivals, uniform placements, then
-the scheme's admission or random-access rules. Trial randomness comes from
-substreams keyed on (master_seed, global trial index), so a sweep produces
-bit-identical results no matter how its trials are ordered or spread over
-workers.
+Every trial realizes one slot: Poisson arrivals, then the scheme's admission
+or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
+substream of (master_seed, point index, block index), so a sweep is
+bit-identical for any worker count. A random-access block is array operations.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .model import (COORDINATED, FDMA, NOMA, TDMA, UNCOORDINATED, DeviceSet,
+# channel_gain, sample_placement: unused here; bench/tracing.py wraps them here.
+from .model import (COORDINATED, FDMA, NOMA, TDMA, UNCOORDINATED,
                     SystemParams, TrafficModel, channel_gain, make_device_set,
                     sample_arrivals, sample_placement, trial_rng)
 from . import coordinated as co
 from . import uncoordinated as un
+
+# Trials per substream. Fixed, so the results do not depend on the worker count.
+BLOCK_TRIALS = 64
+# Occupancy bins per bincount of the collision step: 128 KB of counts.
+_CHUNK_BINS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -43,20 +50,20 @@ class SchemeConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.scheme not in (FDMA, TDMA, NOMA):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.design is not None and self.tag != f"{UNCOORDINATED}-{self.design.scheme}":
+            raise ValueError(f"{self.tag} cannot run a {self.design.scheme} design")
 
     @property
     def tag(self) -> str:
         return f"{self.family}-{self.scheme}"
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One realized slot."""
+@dataclass(frozen=True, eq=False)
+class TrialCounts:
+    """Per-trial counts of one sweep point, in trial order."""
 
-    arrivals: int
-    served: int
-    scheme: str
-    seed_substream: tuple[int, int]   # (master_seed, trial_index)
+    arrivals: np.ndarray   # devices with a packet
+    served: np.ndarray     # packets delivered
 
 
 @dataclass(frozen=True)
@@ -95,87 +102,88 @@ def resolve_design(config: SchemeConfig, params: SystemParams,
     return replace(config, design=design)
 
 
-def _coordinated_served(scheme: str, devices: DeviceSet, params: SystemParams,
-                        enforce_minimum: bool) -> int:
-    if scheme == FDMA:
-        return co.fdma_kmax(devices, params, enforce_minimum).admitted
-    if scheme == TDMA:
-        return co.tdma_kmax(devices, params, enforce_minimum).admitted
+def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
+              rng: np.random.Generator) -> int:
+    """Realize ``arrivals`` devices in one coordinated slot; count those admitted."""
+    devices = make_device_set(arrivals, params, rng)
+    if config.scheme == FDMA:
+        return co.fdma_kmax(devices, params, config.enforce_minimum).admitted
+    if config.scheme == TDMA:
+        return co.tdma_kmax(devices, params, config.enforce_minimum).admitted
     return co.noma_admitted_count(devices.gains, params)
 
 
-def _random_access_served(design: un.UncoordinatedDesign, arrivals: int,
-                          params: SystemParams, rng: np.random.Generator) -> int:
-    """Realize one random-access slot and count delivered packets."""
-    if design.scheme == NOMA:
-        gains = channel_gain(sample_placement(arrivals, rng), params.pathloss_exp)
-        transmitting = int(np.count_nonzero(params.ref_snr * gains >= design.target_snr))
-        if transmitting and un.noma_supported(transmitting, design.target_snr, params):
-            return transmitting
-        return 0
-    active = int(rng.binomial(arrivals, design.access_prob)) if arrivals else 0
-    gains = channel_gain(sample_placement(active, rng), params.pathloss_exp)
-    threshold = un.gain_threshold(design.scheme, design.partitions, params)
-    transmitters = int(np.count_nonzero(gains >= threshold))
-    picks = rng.integers(0, design.partitions, size=transmitters)
-    occupancy = np.bincount(picks, minlength=design.partitions)
-    return int(np.count_nonzero(occupancy == 1))
+def _alone(transmitting: np.ndarray, partitions: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """Per slot, the transmitters alone in the partition each picked uniformly."""
+    step = max(1, _CHUNK_BINS // partitions)
+    served = []
+    for first in range(0, transmitting.size, step):
+        chunk = transmitting[first:first + step]
+        keys = np.repeat(np.arange(0, chunk.size * partitions, partitions), chunk)
+        keys += rng.integers(0, partitions, size=keys.size)
+        if partitions > _CHUNK_BINS:   # one slot: sort, memory follows its picks
+            occupancy = np.unique(keys, return_counts=True)[1]
+        else:
+            occupancy = np.bincount(keys, minlength=chunk.size * partitions)
+        served.append(np.count_nonzero(occupancy.reshape(chunk.size, -1) == 1, axis=1))
+    return np.concatenate(served)
 
 
-def run_trial(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-              trial_seed: tuple[int, int]) -> TrialOutcome:
-    """Simulate one slot under the scheme's rules.
+def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
+                master_seed: int, point_index: int, trials: int,
+                blocks: range) -> TrialCounts:
+    arrivals, served = [], []
+    for block in blocks:
+        rng = trial_rng(master_seed, point_index, block)
+        arrivals.append(sample_arrivals(traffic, params.slot_s, rng, size=min(
+            BLOCK_TRIALS, trials - block * BLOCK_TRIALS)))
+        if config.family == COORDINATED:
+            served.append([run_trial(config, params, int(n), rng) for n in arrivals[-1]])
+            continue
+        design = config.design
+        # Binomial(active, p_tx): how many i.i.d. uniform placements afford it
+        transmitting = rng.binomial(rng.binomial(arrivals[-1], design.access_prob),
+                                    un.transmit_probability(design, params))
+        if design.scheme == NOMA:   # all or nothing: the cancellation chain
+            served.append(np.where(un.noma_supported(
+                transmitting, design.target_snr, params), transmitting, 0))
+        else:
+            served.append(_alone(transmitting, design.partitions, rng))
+    return TrialCounts(np.concatenate(arrivals), np.concatenate(served))
 
-    Coordinated schemes serve their admitted prefix of the realized device
-    set. Random-access schemes thin by the access probability, apply each
-    device's own power-feasibility check, and resolve partition collisions
-    (or the all-or-nothing cancellation outcome for noma).
-    """
-    rng = trial_rng(*trial_seed)
-    arrivals = sample_arrivals(traffic, params.slot_s, rng)
-    if config.family == COORDINATED:
-        devices = make_device_set(arrivals, params, rng)
-        served = _coordinated_served(config.scheme, devices, params,
-                                     config.enforce_minimum)
-    else:
-        if config.design is None:
-            raise ValueError("uncoordinated trial needs a concrete design; "
-                             "see resolve_design")
-        served = _random_access_served(config.design, arrivals, params, rng)
-    return TrialOutcome(arrivals, served, config.tag, tuple(trial_seed))
+
+def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
+                   master_seed: int, point_index: int, trials: int) -> TrialCounts:
+    """Per-trial counts of ``trials`` slots at one load, from the substreams
+    of (master_seed, point_index). Uncoordinated schemes need a concrete
+    design (see resolve_design)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if config.family == UNCOORDINATED and config.design is None:
+        raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
+    return _run_blocks(config, params, traffic, master_seed, point_index, trials,
+                       range(-(-trials // BLOCK_TRIALS)))
 
 
-def aggregate(outcomes: list[TrialOutcome], params: SystemParams) -> TrialStats:
-    """Mean, sample standard deviation and normal 95% half-width."""
-    if not outcomes:
+def aggregate(served, params: SystemParams) -> TrialStats:
+    """Mean, sample standard deviation and normal 95% half-width of served counts."""
+    served = np.asarray(served, dtype=float)
+    if not served.size:
         raise ValueError("no trial outcomes to aggregate")
-    served = np.array([o.served for o in outcomes], dtype=float)
-    n = served.size
     mean = float(served.mean())
-    std = float(served.std(ddof=1)) if n > 1 else 0.0
-    halfwidth = 1.96 * std / math.sqrt(n)
-    return TrialStats(int(n), mean, std,
-                      mean / params.slot_s, halfwidth / params.slot_s)
-
-
-def _trial_block(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-                 master_seed: int, start: int, count: int) -> list[TrialOutcome]:
-    return [run_trial(config, params, traffic, (master_seed, start + i))
-            for i in range(count)]
-
-
-def _block_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    size = -(-total // workers)
-    return [(start, min(size, total - start)) for start in range(0, total, size)]
+    std = float(served.std(ddof=1)) if served.size > 1 else 0.0
+    return TrialStats(served.size, mean, std, mean / params.slot_s,
+                      1.96 * std / math.sqrt(served.size) / params.slot_s)
 
 
 def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
               trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per arrival rate.
 
-    Trial substreams are keyed on the global trial index (point index *
-    trials + trial), so equal inputs and master_seed give bit-identical rows
-    for any worker count; per-point results are merged by index.
+    Substreams are keyed on (master_seed, point index, block index), so
+    equal inputs and master_seed give bit-identical rows for any worker
+    count; workers run contiguous ranges of blocks, merged by block index.
     """
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
@@ -186,28 +194,18 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         raise ValueError("trials must be >= 1")
 
     rows = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    blocks = range(-(-trials // BLOCK_TRIALS))
+    step = -(-len(blocks) // workers)
+    shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
         for index, lam in enumerate(grid):
             traffic = TrafficModel(lam)
             concrete = resolve_design(config, params, traffic)
-            base = index * trials
-            if executor is None:
-                outcomes = _trial_block(concrete, params, traffic, master_seed,
-                                        base, trials)
-            else:
-                futures = [executor.submit(_trial_block, concrete, params, traffic,
-                                           master_seed, base + start, count)
-                           for start, count in _block_bounds(trials, workers)]
-                outcomes = [out for future in futures for out in future.result()]
-            stats = aggregate(outcomes, params)
-            rows.append(SweepRow(concrete.tag, lam, trials,
-                                 stats.mean_throughput_pps,
-                                 stats.ci95_halfwidth_pps,
-                                 master_seed, params.digest()))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            run = partial(_run_blocks, concrete, params, traffic, master_seed, index, trials)
+            parts = (executor.map if executor else map)(run, shares)
+            stats = aggregate(np.concatenate([part.served for part in parts]), params)
+            rows.append(SweepRow(concrete.tag, lam, trials, stats.mean_throughput_pps,
+                                 stats.ci95_halfwidth_pps, master_seed, params.digest()))
     return rows
 
 

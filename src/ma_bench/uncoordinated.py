@@ -35,6 +35,10 @@ _RATE_TOL = 1e-9
 
 _LN2 = math.log(2.0)
 
+# Partition counts optimize_design evaluates per numpy pass: its temporaries
+# (~54 bytes per count) stay near 3.5 MB however fine the partition minima.
+_PARTITION_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class UncoordinatedDesign:
@@ -115,6 +119,16 @@ def tdma_tx_probability(design: UncoordinatedDesign, params: SystemParams) -> fl
     """Probability an active device can afford its sub-slot and transmits."""
     return float(_gain_tail_probability(
         _log_gain_threshold(TDMA, design.partitions, params), params.pathloss_exp))
+
+
+def transmit_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
+    """Probability an active device's channel affords the design at full
+    power: its partition's rate (fdma, tdma) or the receive-power target
+    (noma)."""
+    if design.scheme == NOMA:
+        return noma_feasibility_probability(design.target_snr, params)
+    return float(_gain_tail_probability(
+        _log_gain_threshold(design.scheme, design.partitions, params), params.pathloss_exp))
 
 
 def collision_probability(expected_transmitting: float, partitions: int) -> float:
@@ -213,16 +227,11 @@ def uncoordinated_throughput(design: UncoordinatedDesign, params: SystemParams,
                              traffic: TrafficModel) -> UncoordinatedAnalysis:
     """Expected-count analysis of one design point at the given load."""
     active = design.access_prob * traffic.arrival_rate * params.slot_s
+    transmitting = active * transmit_probability(design, params)
     if design.scheme == NOMA:
-        transmitting = active * noma_feasibility_probability(design.target_snr, params)
         delivered = transmitting if noma_supported(
             transmitting, design.target_snr, params) else 0.0
         return UncoordinatedAnalysis(active, transmitting, 0.0, delivered)
-    if design.scheme == FDMA:
-        p_tx = fdma_tx_probability(design, params)
-    else:
-        p_tx = tdma_tx_probability(design, params)
-    transmitting = active * p_tx
     collision = collision_probability(transmitting, design.partitions)
     return UncoordinatedAnalysis(active, transmitting, collision,
                                  transmitting * (1.0 - collision))
@@ -247,32 +256,40 @@ def optimize_design(scheme: str, params: SystemParams,
                     traffic: TrafficModel) -> UncoordinatedDesign:
     """Access probability and partition count maximizing expected successes.
 
-    Solved in closed form for every partition count N at once. With
-    A = arrival_rate * slot_s devices active at full access, at most
-    A * p_tx(N) transmit, and m (1 - 1/N)**(m - 1) peaks at the
-    slotted-ALOHA load m* = -1 / log(1 - 1/N) (m* = 1 for N = 1). So the
-    best access probability is 1 while A * p_tx <= m*, and m* / (A * p_tx)
-    beyond it. Ties break toward fewer partitions; with nothing to deliver
-    (zero load) the design is N = 1, access probability 0.
+    Solved in closed form for every partition count N, a fixed-size chunk of
+    counts per numpy pass. With A = arrival_rate * slot_s devices active at
+    full access, at most A * p_tx(N) transmit, and m (1 - 1/N)**(m - 1)
+    peaks at the slotted-ALOHA load m* = -1 / log(1 - 1/N) (m* = 1 for
+    N = 1). So the best access probability is 1 while A * p_tx <= m*, and
+    m* / (A * p_tx) beyond it. Ties break toward fewer partitions; with
+    nothing to deliver (zero load) the design is N = 1, access probability 0.
     """
     if scheme not in (FDMA, TDMA):
         raise ValueError("optimize_design covers fdma and tdma only")
-    n = np.arange(1, max_partitions(scheme, params) + 1, dtype=float)
-    feasible = traffic.arrival_rate * params.slot_s * _gain_tail_probability(
-        _log_gain_threshold(scheme, n, params), params.pathloss_exp)
-    peak = np.ones_like(n)
-    peak[1:] = -1.0 / np.log1p(-1.0 / n[1:])
-    load = np.minimum(feasible, peak)
-    # the expected success uncoordinated_throughput reports at this load
-    success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
-    best = int(np.argmax(success))
-    if not success[best] > 0.0:
+    top = max_partitions(scheme, params)
+    best, best_success, best_feasible, best_peak = 1, -math.inf, 0.0, 1.0
+    for start in range(1, top + 1, _PARTITION_CHUNK):
+        n = np.arange(start, min(start + _PARTITION_CHUNK, top + 1), dtype=float)
+        feasible = traffic.arrival_rate * params.slot_s * _gain_tail_probability(
+            _log_gain_threshold(scheme, n, params), params.pathloss_exp)
+        peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
+        if start == 1:
+            peak[0] = 1.0
+        load = np.minimum(feasible, peak)
+        # the expected success uncoordinated_throughput reports at this load
+        success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
+        i = int(np.argmax(success))
+        # first maximum over all chunks; a NaN wins, as in one np.argmax
+        if not (success[i] <= best_success or math.isnan(best_success)):
+            best, best_success = start + i, float(success[i])
+            best_feasible, best_peak = float(feasible[i]), float(peak[i])
+    if not best_success > 0.0:
         return UncoordinatedDesign(scheme, access_prob=0.0, partitions=1)
-    access = 1.0 if feasible[best] <= peak[best] else float(peak[best] / feasible[best])
-    design = UncoordinatedDesign(scheme, access_prob=access, partitions=best + 1)
+    access = 1.0 if best_feasible <= best_peak else best_peak / best_feasible
+    design = UncoordinatedDesign(scheme, access_prob=access, partitions=best)
     # A lone partition delivers nothing above one transmitter, so the load
     # uncoordinated_throughput computes from this design must not round past it.
-    while best == 0 and uncoordinated_throughput(
+    while best == 1 and uncoordinated_throughput(
             design, params, traffic).expected_transmitting > 1.0:
         design = UncoordinatedDesign(scheme, math.nextafter(design.access_prob, 0.0), 1)
     return design

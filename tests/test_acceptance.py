@@ -14,10 +14,10 @@ from ma_bench import (DeviceSet, SystemParams, TrafficModel,
                       UncoordinatedDesign, collision_probability, fdma_kmax,
                       fdma_min_bandwidth, fdma_tx_probability, noma_design,
                       noma_device_cap, noma_power_allocation, optimize_design,
-                      run_sweep, tdma_kmax, trial_rng,
+                      run_sweep, simulate_point, tdma_kmax, trial_rng,
                       uncoordinated_throughput)
 from ma_bench.cli import emit_csv
-from ma_bench.sim import SchemeConfig, _trial_block
+from ma_bench.sim import SchemeConfig
 from ma_bench.uncoordinated import max_partitions
 
 MASTER_SEED = 42
@@ -137,8 +137,8 @@ def test_criterion_5_analytic_vs_monte_carlo_panel(params):
             design = optimize_design(scheme, params, traffic)
             analytic = uncoordinated_throughput(design, params, traffic).expected_success
             config = SchemeConfig("uncoordinated", scheme, design=design)
-            outcomes = _trial_block(config, params, traffic, MASTER_SEED, 0, 10_000)
-            served = np.array([o.served for o in outcomes], dtype=float)
+            served = simulate_point(config, params, traffic, MASTER_SEED, 0,
+                                    10_000).served.astype(float)
             gap = abs(served.mean() - analytic)
             bound = 3.0 * served.std(ddof=1) / math.sqrt(served.size)
             ok &= gap <= bound
@@ -150,8 +150,8 @@ def test_criterion_5_analytic_vs_monte_carlo_panel(params):
         design = noma_design(params, traffic)
         analytic = uncoordinated_throughput(design, params, traffic).expected_success
         config = SchemeConfig("uncoordinated", "noma", design=design)
-        outcomes = _trial_block(config, params, traffic, MASTER_SEED, 0, 10_000)
-        served = np.array([o.served for o in outcomes], dtype=float)
+        served = simulate_point(config, params, traffic, MASTER_SEED, 0,
+                                10_000).served.astype(float)
         slack = 3.0 * served.std(ddof=1) / math.sqrt(served.size)
         ok &= served.mean() <= analytic + slack
         details.append(f"noma@{lam:g}:{served.mean():.1f}<={analytic:.1f}+{slack:.2f}")

@@ -171,6 +171,15 @@ def test_cap_with_infinite_snr_floor_is_one_error_line(capsys):
     assert "Traceback" not in err
 
 
+def test_cap_with_zero_snr_floor_is_one_error_line(capsys):
+    # spectral load 1e-26: 2**1e-26 - 1 rounds to 0
+    status, out, err = run(["cap", "--payload-bits", "1e-20"], capsys)
+    assert status == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "SNR floor" in lines[0]
+
+
 def test_sweep_writes_csv_and_reports(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     status, _, err = run(["sweep", "--schemes", "uncoordinated-fdma",

@@ -54,6 +54,7 @@ def test_sample_placement_matches_disc_cdf():
 def test_sample_arrivals_zero_rate():
     rng = trial_rng(3, 0)
     assert all(sample_arrivals(TrafficModel(0.0), 1.0, rng) == 0 for _ in range(100))
+    assert np.array_equal(sample_arrivals(TrafficModel(0.0), 1.0, rng, size=5), np.zeros(5))
 
 
 def test_sample_arrivals_mean_clt_bound():
@@ -68,6 +69,8 @@ def test_sample_arrivals_is_poisson_of_load():
             for i in range(1000)]
     direct = [int(trial_rng(13, i).poisson(20.0)) for i in range(1000)]
     assert ours == direct
+    block = sample_arrivals(TrafficModel(40.0), 0.5, trial_rng(13, 0), size=64)
+    assert np.array_equal(block, trial_rng(13, 0).poisson(20.0, size=64))
 
 
 def test_sample_arrivals_empty_slot_probability():
@@ -130,6 +133,15 @@ def test_trial_rng_substreams_independent():
     other = trial_rng(9, 1).random(8)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+    # two keys are the plain (master_seed, index) SeedSequence; a third key
+    # (the engine's point, block) opens another substream, except that
+    # SeedSequence pads short keys with zeros, so (9, 0, 0) is (9, 0)
+    plain = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, 0))))
+    assert np.array_equal(first, plain.random(8))
+    assert np.array_equal(first, trial_rng(9, 0, 0).random(8))
+    block = trial_rng(9, 0, 1).random(8)
+    assert np.array_equal(block, trial_rng(9, 0, 1).random(8))
+    assert not np.array_equal(block, first) and not np.array_equal(block, other)
 
 
 def test_system_params_validation():
@@ -149,6 +161,14 @@ def test_system_params_reject_infinite_snr_floor():
     with pytest.raises(ValueError, match="SNR floor"):
         SystemParams(bandwidth_hz=1e-200, slot_s=1e-200, min_slot_s=1e-201,
                      min_subchannel_hz=1e-201)   # the resource block underflows
+
+
+def test_system_params_reject_zero_snr_floor():
+    # 2**x - 1 rounds to 0 below x ~ 1.6e-16; the capacity bound 1/floor
+    # would divide by zero
+    with pytest.raises(ValueError, match="SNR floor.*rounds to 0"):
+        SystemParams(payload_bits=1e-20)
+    assert SystemParams(payload_bits=1e-9).snr_floor > 0
 
 
 def test_snr_floor_matches_definition(params):

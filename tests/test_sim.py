@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ma_bench import (SystemParams, TrafficModel, UncoordinatedDesign,
-                      aggregate, analytic_rows, noma_design, optimize_design,
-                      resolve_design, run_sweep, run_trial, trial_rng,
-                      uncoordinated_throughput)
-from ma_bench.sim import SchemeConfig, TrialOutcome, _random_access_served
+from ma_bench import (BLOCK_TRIALS, SystemParams, TrafficModel,
+                      UncoordinatedDesign, aggregate, analytic_rows,
+                      noma_design, optimize_design, resolve_design,
+                      run_sweep, simulate_point, uncoordinated_throughput)
+from ma_bench.sim import SchemeConfig
+from ma_bench.model import channel_gain, sample_placement, trial_rng
+from ma_bench.uncoordinated import gain_threshold, noma_supported, transmit_probability
 
 SEED = 42
 
@@ -15,76 +18,80 @@ SEED = 42
 def serve_counts(config, params, lam, trials, seed=SEED):
     traffic = TrafficModel(lam)
     concrete = resolve_design(config, params, traffic)
-    return np.array([run_trial(concrete, params, traffic, (seed, i)).served
-                     for i in range(trials)], dtype=float)
+    return simulate_point(concrete, params, traffic, seed, 0, trials).served.astype(float)
 
 
 def test_zero_rate_serves_nothing(params):
     for config in (SchemeConfig("coordinated", "noma"),
                    SchemeConfig("uncoordinated", "fdma",
                                 design=UncoordinatedDesign("fdma", 1.0, 10))):
-        outcome = run_trial(config, params, TrafficModel(0.0), (SEED, 0))
-        assert outcome.arrivals == 0
-        assert outcome.served == 0
+        counts = simulate_point(config, params, TrafficModel(0.0), SEED, 0, 70)
+        assert not counts.arrivals.any()
+        assert not counts.served.any()
 
 
 def test_single_partition_with_two_transmitters_collides(params):
-    # both devices are power-feasible on the single subchannel: certain loss
-    design = UncoordinatedDesign("fdma", 1.0, 1)
-    served = _random_access_served(design, 2, params, trial_rng(SEED, 1))
-    assert served == 0
+    # every device is power-feasible on the single subchannel, so a slot
+    # delivers its packet exactly when it has one arrival: two is a certain loss
+    config = SchemeConfig("uncoordinated", "fdma", design=UncoordinatedDesign("fdma", 1.0, 1))
+    counts = simulate_point(config, params, TrafficModel(2.0), SEED, 0, 500)
+    assert (counts.arrivals == 2).any()
+    assert np.array_equal(counts.served, (counts.arrivals == 1).astype(int))
 
 
 def test_trial_requires_resolved_design(params):
     config = SchemeConfig("uncoordinated", "tdma")
     with pytest.raises(ValueError):
-        run_trial(config, params, TrafficModel(10.0), (SEED, 0))
+        simulate_point(config, params, TrafficModel(10.0), SEED, 0, 1)
+    with pytest.raises(ValueError):
+        simulate_point(resolve_design(config, params, TrafficModel(10.0)), params,
+                       TrafficModel(10.0), SEED, 0, 0)
 
 
 def test_trials_are_reproducible(params):
     config = SchemeConfig("uncoordinated", "fdma",
                           design=UncoordinatedDesign("fdma", 0.7, 100))
     traffic = TrafficModel(500.0)
-    a = run_trial(config, params, traffic, (SEED, 3))
-    b = run_trial(config, params, traffic, (SEED, 3))
-    assert a == b
-    c = run_trial(config, params, traffic, (SEED, 4))
-    assert (a.arrivals, a.served) != (c.arrivals, c.served) or a.seed_substream != c.seed_substream
+    a = simulate_point(config, params, traffic, SEED, 3, 100)
+    b = simulate_point(config, params, traffic, SEED, 3, 100)
+    assert np.array_equal(a.arrivals, b.arrivals) and np.array_equal(a.served, b.served)
+    c = simulate_point(config, params, traffic, SEED, 4, 100)
+    assert not np.array_equal(a.arrivals, c.arrivals)
+    # a whole block draws the same slots whatever the trial count
+    d = simulate_point(config, params, traffic, SEED, 3, BLOCK_TRIALS + 1)
+    assert np.array_equal(d.served[:BLOCK_TRIALS], a.served[:BLOCK_TRIALS])
 
 
 def test_served_bounded_by_arrivals_and_partitions(params):
     design = UncoordinatedDesign("tdma", 0.8, 25)
-    config = SchemeConfig("uncoordinated", "tdma", design=design)
     traffic = TrafficModel(300.0)
-    for i in range(200):
-        outcome = run_trial(config, params, traffic, (SEED, i))
-        assert 0 <= outcome.served <= outcome.arrivals
-        assert outcome.served <= design.partitions
-    coordinated = SchemeConfig("coordinated", "tdma")
-    for i in range(50):
-        outcome = run_trial(coordinated, params, traffic, (SEED, i))
-        assert 0 <= outcome.served <= outcome.arrivals
+    counts = simulate_point(SchemeConfig("uncoordinated", "tdma", design=design),
+                            params, traffic, SEED, 0, 200)
+    assert counts.served.shape == counts.arrivals.shape == (200,)
+    assert (counts.served >= 0).all()
+    assert (counts.served <= np.minimum(counts.arrivals, design.partitions)).all()
+    counts = simulate_point(SchemeConfig("coordinated", "tdma"), params, traffic, SEED, 0, 50)
+    assert ((0 <= counts.served) & (counts.served <= counts.arrivals)).all()
 
 
 def test_aggregate_examples(params):
-    same = [TrialOutcome(5, 3, "x", (SEED, i)) for i in range(4)]
-    stats = aggregate(same, params)
+    stats = aggregate(np.full(4, 3), params)
     assert stats.mean_served == 3.0
     assert stats.ci95_halfwidth_pps == 0.0
 
-    two = [TrialOutcome(4, 0, "x", (SEED, 0)), TrialOutcome(4, 2, "x", (SEED, 1))]
+    two = np.array([0, 2])
     stats = aggregate(two, params)
     assert stats.mean_served == 1.0
     assert stats.std_served == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert stats.ci95_halfwidth_pps == pytest.approx(1.96 * math.sqrt(2.0) / math.sqrt(2.0), rel=1e-12)
 
-    assert aggregate(list(reversed(two)), params) == stats   # permutation invariant
+    assert aggregate(two[::-1], params) == stats   # permutation invariant
     with pytest.raises(ValueError):
-        aggregate([], params)
+        aggregate(np.array([]), params)
 
 
 def test_single_trial_aggregate_has_zero_halfwidth(params):
-    stats = aggregate([TrialOutcome(1, 1, "x", (SEED, 0))], params)
+    stats = aggregate(np.array([1]), params)
     assert stats.ci95_halfwidth_pps == 0.0
 
 
@@ -100,10 +107,13 @@ def test_sweep_rows_and_determinism(params):
 
 
 def test_sweep_workers_do_not_change_results(params):
-    config = SchemeConfig("uncoordinated", "tdma")
-    serial = run_sweep(config, params, [100.0, 400.0], 60, SEED, workers=1)
-    parallel = run_sweep(config, params, [100.0, 400.0], 60, SEED, workers=4)
-    assert serial == parallel
+    # one trial, part of one block, and two blocks plus part of a third
+    for config in (SchemeConfig("uncoordinated", "tdma"), SchemeConfig("coordinated", "noma")):
+        for trials in (1, 60, 2 * BLOCK_TRIALS + 2):
+            serial = run_sweep(config, params, [100.0, 400.0], trials, SEED, workers=1)
+            for workers in (2, 3, 4):
+                assert run_sweep(config, params, [100.0, 400.0], trials, SEED,
+                                 workers=workers) == serial
 
 
 def test_sweep_validates_inputs(params):
@@ -137,14 +147,18 @@ def test_uncoordinated_noma_all_or_nothing(params):
     assert set(np.unique(served)) <= {0.0} | set(served[served > 0])
     assert (served == 0).any() and (served > 0).any()
     assert served.max() <= 1442.1950986512280 + 1.0
+    # every delivered slot decodes whole; a slot over the most the target
+    # supports delivers nothing rather than that most (a cut-off engine
+    # would pile its overloaded slots, about half of them, onto it)
+    most = max(n for n in range(1, 1500) if noma_supported(n, design.target_snr, params))
+    assert noma_supported(served[served > 0], design.target_snr, params).all()
+    assert np.count_nonzero(served == most) < 0.05 * served.size
 
 
 def test_coordinated_noma_serves_everyone_at_light_load(params):
-    served = serve_counts(SchemeConfig("coordinated", "noma"), params, 50.0, 100)
-    arrivals = np.array([run_trial(SchemeConfig("coordinated", "noma"), params,
-                                   TrafficModel(50.0), (SEED, i)).arrivals
-                         for i in range(100)], dtype=float)
-    assert np.array_equal(served, arrivals)
+    counts = simulate_point(SchemeConfig("coordinated", "noma"), params,
+                            TrafficModel(50.0), SEED, 0, 100)
+    assert np.array_equal(counts.served, counts.arrivals)
 
 
 def test_analytic_rows_uncoordinated_only(params):
@@ -164,3 +178,62 @@ def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("coordinated", "cdma")
     assert SchemeConfig("coordinated", "fdma").tag == "coordinated-fdma"
+    # the row tag must name the scheme that is simulated
+    with pytest.raises(ValueError, match="uncoordinated-tdma.*fdma"):
+        SchemeConfig("uncoordinated", "tdma", design=UncoordinatedDesign("fdma", 0.5, 10))
+    with pytest.raises(ValueError, match="coordinated-fdma"):
+        SchemeConfig("coordinated", "fdma", design=UncoordinatedDesign("fdma", 0.5, 10))
+    assert SchemeConfig("uncoordinated", "fdma",
+                        design=UncoordinatedDesign("fdma", 0.5, 10)).design.partitions == 10
+
+
+def test_noma_point_memory_does_not_follow_arrivals(params):
+    # 10^7 arrivals per slot are counted, never placed
+    traffic = TrafficModel(1e7)
+    config = resolve_design(SchemeConfig("uncoordinated", "noma"), params, traffic)
+    tracemalloc.start()
+    try:
+        counts = simulate_point(config, params, traffic, SEED, 0, 3 * BLOCK_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (counts.served <= 1442.1950986512280 + 1.0).all()
+
+
+def test_many_partitions_resolve_collisions_by_transmitter(params):
+    # 10^5 partitions: one occupancy bin each for a block would take ~51 MB;
+    # the collision step sorts the block's ~1.3e5 picks instead
+    fine = SystemParams(payload_bits=1e-3)
+    design = UncoordinatedDesign("fdma", 1.0, 100_000)
+    config = SchemeConfig("uncoordinated", "fdma", design=design)
+    traffic = TrafficModel(2000.0)
+    tracemalloc.start()
+    try:
+        counts = simulate_point(config, fine, traffic, SEED, 0, 640)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+    assert (counts.served <= counts.arrivals).all()
+    analytic = uncoordinated_throughput(design, fine, traffic).expected_success
+    se = counts.served.std(ddof=1) / math.sqrt(counts.served.size)
+    assert abs(counts.served.mean() - analytic) <= 4.0 * se
+
+
+def test_binomial_thinning_matches_placement_geometry():
+    # The engine draws the count of active devices that afford the design as
+    # Binomial(active, transmit_probability) instead of placing each one.
+    # Placing 2e6 devices, the share whose gain clears the design's bar must
+    # match that probability within 5 standard errors.
+    params = SystemParams(payload_bits=5000.0, ref_snr=0.1, pathloss_exp=3.5)
+    noma = noma_design(params, TrafficModel(1000.0))
+    cases = [(UncoordinatedDesign("fdma", 1.0, 2000), gain_threshold("fdma", 2000, params)),
+             (UncoordinatedDesign("tdma", 1.0, 60), gain_threshold("tdma", 60, params)),
+             (noma, noma.target_snr / params.ref_snr)]
+    gains = channel_gain(sample_placement(2_000_000, trial_rng(SEED, 7)), params.pathloss_exp)
+    for design, bar in cases:
+        p_tx = transmit_probability(design, params)
+        assert 0.05 < p_tx < 0.95
+        se = math.sqrt(p_tx * (1.0 - p_tx) / gains.size)
+        assert abs(np.count_nonzero(gains >= bar) / gains.size - p_tx) <= 5.0 * se

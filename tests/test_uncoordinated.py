@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,8 @@ from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       noma_feasibility_probability, noma_required_snr,
                       optimize_design, tdma_tx_probability,
                       uncoordinated_throughput, trial_rng)
-from ma_bench.uncoordinated import gain_threshold, max_partitions, noma_supported
+from ma_bench.uncoordinated import (_gain_tail_probability, _log_gain_threshold,
+                                    gain_threshold, max_partitions, noma_supported)
 
 # Frozen from a 50-digit evaluation of the closed forms.
 CAP_DEFAULT_PARAMS = 1442.1950986512280          # 1 / (2**0.001 - 1)
@@ -332,6 +334,39 @@ def test_optimizer_at_a_hundred_thousand_partitions(scheme, params):
     assert (uncoordinated_throughput(design, fine, traffic).expected_success
             >= uncoordinated_throughput(coarse, params, traffic).expected_success
             * (1.0 - 1e-12))
+
+
+def unchunked_design(scheme, params, traffic):
+    """optimize_design's closed form over every partition count in one pass."""
+    n = np.arange(1, max_partitions(scheme, params) + 1, dtype=float)
+    feasible = traffic.arrival_rate * params.slot_s * _gain_tail_probability(
+        _log_gain_threshold(scheme, n, params), params.pathloss_exp)
+    peak = np.ones_like(n)
+    peak[1:] = -1.0 / np.log1p(-1.0 / n[1:])
+    load = np.minimum(feasible, peak)
+    success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
+    best = int(np.argmax(success))
+    access = 1.0 if feasible[best] <= peak[best] else float(peak[best] / feasible[best])
+    return best + 1, access
+
+
+@pytest.mark.parametrize("scheme, payload_bits, lam", [
+    ("fdma", 1.0, 3e6),     # best at the last of 10^6 partition counts
+    ("tdma", 10.0, 1e6),    # best inside a later chunk
+    ("fdma", 1.0, 0.5),     # under one transmitter every count ties: N = 1 wins
+])
+def test_optimizer_memory_stays_bounded_at_a_million_partitions(scheme, payload_bits, lam):
+    fine = SystemParams(payload_bits=payload_bits, min_subchannel_hz=1.0, min_slot_s=1e-6)
+    assert max_partitions(scheme, fine) == 1_000_000
+    traffic = TrafficModel(lam)
+    tracemalloc.start()
+    try:
+        design = optimize_design(scheme, fine, traffic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert (design.partitions, design.access_prob) == unchunked_design(scheme, fine, traffic)
 
 
 def test_optimizer_low_load_keeps_full_access(params):
