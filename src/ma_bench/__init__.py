@@ -10,10 +10,10 @@ from .coordinated import (CoordinatedAllocation, fdma_kmax, fdma_min_bandwidth,
                           tdma_min_time)
 from .uncoordinated import (NOMINAL, REDERIVED, UncoordinatedAnalysis,
                             UncoordinatedDesign, collision_probability,
-                            fdma_tx_probability, noma_design, noma_device_cap,
+                            noma_design, noma_device_cap,
                             noma_feasibility_probability, noma_required_snr,
-                            optimize_design, tdma_tx_probability,
-                            transmit_probability, uncoordinated_throughput)
+                            optimize_design, transmit_probability,
+                            uncoordinated_throughput)
 from .sim import (BLOCK_TRIALS, SchemeConfig, SweepRow, TrialCounts, TrialStats,
                   aggregate, analytic_rows, resolve_design, run_sweep, run_trial,
                   simulate_point)

@@ -154,17 +154,10 @@ def sample_placement(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generator,
-                    size: int | None = None):
-    """Number of devices with a packet in one slot: Poisson(arrival_rate * slot_s).
-
-    With ``size``, an int64 array of that many independent slots.
-    """
-    mean = traffic.arrival_rate * slot_s
-    if size is not None:
-        return rng.poisson(mean, size=size)
-    if mean == 0.0:
-        return 0
-    return int(rng.poisson(mean))
+                    size: int) -> np.ndarray:
+    """Devices with a packet in each of ``size`` independent slots: an int64
+    array of Poisson(arrival_rate * slot_s) draws."""
+    return rng.poisson(traffic.arrival_rate * slot_s, size=size)
 
 
 def received_snr(normalized_power: float, bandwidth_ratio: float,

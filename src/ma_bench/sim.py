@@ -26,7 +26,8 @@ from . import uncoordinated as un
 
 # Trials per substream. Fixed, so the results do not depend on the worker count.
 BLOCK_TRIALS = 64
-# Occupancy bins per bincount of the collision step: 128 KB of counts.
+# Occupancy bins per bincount of the collision step: 128 KB of counts,
+# or one slot's partitions when a slot has more.
 _CHUNK_BINS = 1 << 14
 
 
@@ -122,10 +123,7 @@ def _alone(transmitting: np.ndarray, partitions: int,
         chunk = transmitting[first:first + step]
         keys = np.repeat(np.arange(0, chunk.size * partitions, partitions), chunk)
         keys += rng.integers(0, partitions, size=keys.size)
-        if partitions > _CHUNK_BINS:   # one slot: sort, memory follows its picks
-            occupancy = np.unique(keys, return_counts=True)[1]
-        else:
-            occupancy = np.bincount(keys, minlength=chunk.size * partitions)
+        occupancy = np.bincount(keys, minlength=chunk.size * partitions)
         served.append(np.count_nonzero(occupancy.reshape(chunk.size, -1) == 1, axis=1))
     return np.concatenate(served)
 
@@ -192,6 +190,8 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         raise ValueError("lambda_grid must be strictly increasing")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     rows = []
     blocks = range(-(-trials // BLOCK_TRIALS))

@@ -109,18 +109,6 @@ def _gain_tail_probability(log_threshold, pathloss_exp: float):
     return np.exp(np.minimum(0.0, (-2.0 / pathloss_exp) * log_threshold))
 
 
-def fdma_tx_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
-    """Probability an active device can afford its subchannel and transmits."""
-    return float(_gain_tail_probability(
-        _log_gain_threshold(FDMA, design.partitions, params), params.pathloss_exp))
-
-
-def tdma_tx_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
-    """Probability an active device can afford its sub-slot and transmits."""
-    return float(_gain_tail_probability(
-        _log_gain_threshold(TDMA, design.partitions, params), params.pathloss_exp))
-
-
 def transmit_probability(design: UncoordinatedDesign, params: SystemParams) -> float:
     """Probability an active device's channel affords the design at full
     power: its partition's rate (fdma, tdma) or the receive-power target
@@ -279,8 +267,7 @@ def optimize_design(scheme: str, params: SystemParams,
         # the expected success uncoordinated_throughput reports at this load
         success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
         i = int(np.argmax(success))
-        # first maximum over all chunks; a NaN wins, as in one np.argmax
-        if not (success[i] <= best_success or math.isnan(best_success)):
+        if success[i] > best_success:   # first maximum over all chunks
             best, best_success = start + i, float(success[i])
             best_feasible, best_peak = float(feasible[i]), float(peak[i])
     if not best_success > 0.0:

@@ -12,10 +12,10 @@ import numpy as np
 
 from ma_bench import (DeviceSet, SystemParams, TrafficModel,
                       UncoordinatedDesign, collision_probability, fdma_kmax,
-                      fdma_min_bandwidth, fdma_tx_probability, noma_design,
-                      noma_device_cap, noma_power_allocation, optimize_design,
-                      run_sweep, simulate_point, tdma_kmax, trial_rng,
-                      uncoordinated_throughput)
+                      fdma_min_bandwidth, noma_design, noma_device_cap,
+                      noma_power_allocation, optimize_design, run_sweep,
+                      simulate_point, tdma_kmax, transmit_probability,
+                      trial_rng, uncoordinated_throughput)
 from ma_bench.cli import emit_csv
 from ma_bench.sim import SchemeConfig
 from ma_bench.uncoordinated import max_partitions
@@ -265,7 +265,7 @@ def test_criterion_9_optimizer_against_brute_force():
     # stationary-point check at 1000 partitions under saturating load
     reference = SystemParams()
     design = optimize_design("fdma", reference, TrafficModel(20000.0))
-    steered = design.access_prob * 20000.0 * fdma_tx_probability(design, reference)
+    steered = design.access_prob * 20000.0 * transmit_probability(design, reference)
     stationary_ok = (design.partitions == 1000
                      and abs(steered - ALOHA_PEAK_LOAD_1000) <= 1e-3 * ALOHA_PEAK_LOAD_1000)
     report(9, ok and stationary_ok,

@@ -124,6 +124,9 @@ def test_sweep_validates_inputs(params):
         run_sweep(config, params, [200.0, 100.0], 10, SEED)
     with pytest.raises(ValueError):
         run_sweep(config, params, [100.0], 0, SEED)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            run_sweep(config, params, [100.0], 10, SEED, workers=workers)
 
 
 def test_random_access_mean_tracks_analytic(params):
@@ -203,7 +206,7 @@ def test_noma_point_memory_does_not_follow_arrivals(params):
 
 def test_many_partitions_resolve_collisions_by_transmitter(params):
     # 10^5 partitions: one occupancy bin each for a block would take ~51 MB;
-    # the collision step sorts the block's ~1.3e5 picks instead
+    # the collision step counts one slot at a time instead (~0.8 MB of bins)
     fine = SystemParams(payload_bits=1e-3)
     design = UncoordinatedDesign("fdma", 1.0, 100_000)
     config = SchemeConfig("uncoordinated", "fdma", design=design)

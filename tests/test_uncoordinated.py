@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       TrafficModel, UncoordinatedDesign, collision_probability,
-                      fdma_tx_probability, noma_design, noma_device_cap,
+                      noma_design, noma_device_cap,
                       noma_feasibility_probability, noma_required_snr,
-                      optimize_design, tdma_tx_probability,
+                      optimize_design, transmit_probability,
                       uncoordinated_throughput, trial_rng)
 from ma_bench.uncoordinated import (_gain_tail_probability, _log_gain_threshold,
                                     gain_threshold, max_partitions, noma_supported)
@@ -39,14 +39,14 @@ def test_fdma_tx_probability_boundary_is_one(params):
     # equality, so every active device transmits.
     design = UncoordinatedDesign("fdma", 1.0, 1000)
     weak = SystemParams(ref_snr=1e-3)
-    assert fdma_tx_probability(design, weak) == 1.0
-    assert fdma_tx_probability(design, params) == 1.0   # clamped above 1
+    assert transmit_probability(design, weak) == 1.0
+    assert transmit_probability(design, params) == 1.0   # clamped above 1
 
 
 def test_tx_probability_vanishes_with_snr():
     # below the clamp the tail probability is (1000 mu)^(1/2) for these params
     design = UncoordinatedDesign("fdma", 1.0, 1000)
-    values = [fdma_tx_probability(design, SystemParams(ref_snr=mu))
+    values = [transmit_probability(design, SystemParams(ref_snr=mu))
               for mu in (1e-3, 1e-5, 1e-9)]
     assert values[0] > values[1] > values[2]
     assert values[1] == pytest.approx(1e-1, rel=1e-12)
@@ -54,11 +54,11 @@ def test_tx_probability_vanishes_with_snr():
 
 
 def test_tdma_tx_probability_boundary_and_monotonicity(params):
-    assert tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, 1000), params) == 1.0
+    assert transmit_probability(UncoordinatedDesign("tdma", 1.0, 1000), params) == 1.0
     mu = 0.05
     weak = SystemParams(ref_snr=mu)
-    p1 = tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, 1500), weak)
-    p2 = tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, 3000), weak)
+    p1 = transmit_probability(UncoordinatedDesign("tdma", 1.0, 1500), weak)
+    p2 = transmit_probability(UncoordinatedDesign("tdma", 1.0, 3000), weak)
     assert p2 < p1 < 1.0
 
 
@@ -84,9 +84,9 @@ def test_threshold_beyond_float_range_is_inf_and_tail_stays_finite():
     params = SystemParams(payload_bits=2e6, min_subchannel_hz=1.0, min_slot_s=1e-6)
     assert gain_threshold("tdma", 600, params) == math.inf
     assert gain_threshold("fdma", 10**6, params) == math.inf
-    tail = tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, 600), params)
+    tail = transmit_probability(UncoordinatedDesign("tdma", 1.0, 600), params)
     assert tail == pytest.approx(2.0 ** -600, rel=1e-12)     # (2**1200)**(-1/2)
-    assert fdma_tx_probability(UncoordinatedDesign("fdma", 1.0, 10**6), params) == 0.0
+    assert transmit_probability(UncoordinatedDesign("fdma", 1.0, 10**6), params) == 0.0
 
 
 # --- collisions ---------------------------------------------------------------
@@ -162,8 +162,8 @@ def test_probabilities_stay_in_unit_interval():
         n = int(rng.integers(1, 2000))
         design_f = UncoordinatedDesign("fdma", 1.0, n)
         design_t = UncoordinatedDesign("tdma", 1.0, n)
-        for value in (fdma_tx_probability(design_f, params),
-                      tdma_tx_probability(design_t, params),
+        for value in (transmit_probability(design_f, params),
+                      transmit_probability(design_t, params),
                       collision_probability(float(rng.uniform(0, 5000)), n),
                       noma_feasibility_probability(float(10 ** rng.uniform(-4, 4)), params)):
             assert 0.0 <= value <= 1.0
@@ -393,7 +393,7 @@ def test_optimizer_stationary_point_at_thousand_partitions(params):
     traffic = TrafficModel(20000.0)
     design = optimize_design("fdma", params, traffic)
     assert design.partitions == 1000
-    achieved = design.access_prob * 20000.0 * fdma_tx_probability(design, params)
+    achieved = design.access_prob * 20000.0 * transmit_probability(design, params)
     assert achieved == pytest.approx(ALOHA_PEAK_LOAD_1000, rel=1e-3)
 
 
@@ -422,9 +422,9 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 def test_tails_in_unit_interval_and_tdma_non_increasing(case):
     params, _ = case
     n_max = max(max_partitions("fdma", params), max_partitions("tdma", params))
-    tdma = np.array([tdma_tx_probability(UncoordinatedDesign("tdma", 1.0, n), params)
+    tdma = np.array([transmit_probability(UncoordinatedDesign("tdma", 1.0, n), params)
                      for n in range(1, n_max + 1)])
-    fdma = np.array([fdma_tx_probability(UncoordinatedDesign("fdma", 1.0, n), params)
+    fdma = np.array([transmit_probability(UncoordinatedDesign("fdma", 1.0, n), params)
                      for n in range(1, n_max + 1)])
     assert np.all((tdma >= 0.0) & (tdma <= 1.0))
     assert np.all((fdma >= 0.0) & (fdma <= 1.0))
