@@ -19,18 +19,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import (COORDINATED, FDMA, NOMA, TDMA, UNCOORDINATED,
+from .model import (COORDINATED, FAMILIES, FDMA, SCHEMES, TDMA, UNCOORDINATED,
                     SystemParams, TrafficModel)
 from . import sim
 from . import uncoordinated as un
 
-SCHEME_TOKENS = tuple(f"{family}-{scheme}"
-                      for family in (COORDINATED, UNCOORDINATED)
-                      for scheme in (FDMA, TDMA, NOMA))
+SCHEME_TOKENS = tuple(f"{family}-{scheme}" for family in FAMILIES for scheme in SCHEMES)
 MODES = ("analytic", "montecarlo", "both")
 SEED_ENV_VAR = "MA_BENCH_SEED"
 DEFAULT_SEED = 42
@@ -65,34 +63,14 @@ def _parse_schemes(text) -> list[str]:
     return tokens
 
 
-_KEY_PARSERS = {
-    "bandwidth_hz": float,
-    "slot_s": float,
-    "payload_bits": float,
-    "ref_snr": float,
-    "pathloss_exp": float,
-    "min_slot_s": float,
-    "min_subchannel_hz": float,
-    "schemes": _parse_schemes,
-    "mode": str,
-    "lambda_min": float,
-    "lambda_max": float,
-    "lambda_steps": int,
-    "trials": int,
-    "master_seed": int,
-    "output_path": str,
-    "noma_snr_rule": str,
-    "enforce_minimum": _parse_bool,
-    "workers": int,
-}
-
-_PARAM_KEYS = ("bandwidth_hz", "slot_s", "payload_bits", "ref_snr",
-               "pathloss_exp", "min_slot_s", "min_subchannel_hz")
-
-
 @dataclass
 class RunConfig:
-    """Everything one invocation needs, fully validated."""
+    """Everything one invocation needs, fully validated.
+
+    Its fields other than ``params``, and the fields of SystemParams, are the
+    config keys: each is a file key, a ``--key-with-dashes`` flag (``--output``
+    for output_path) and is parsed by its type.
+    """
 
     params: SystemParams = field(default_factory=SystemParams)
     schemes: list[str] = field(default_factory=lambda: list(SCHEME_TOKENS))
@@ -107,11 +85,39 @@ class RunConfig:
     enforce_minimum: bool = False
     workers: int = 1
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        if self.noma_snr_rule not in un.SNR_RULES:
+            raise ValueError("noma_snr_rule must be one of " + ", ".join(un.SNR_RULES))
+        if self.lambda_min < 0:
+            raise ValueError("lambda_min must be >= 0")
+        if self.lambda_min > self.lambda_max:
+            raise ValueError("lambda_min exceeds lambda_max")
+        if self.lambda_steps < 1:
+            raise ValueError("lambda_steps must be >= 1")
+        if self.lambda_steps > 1 and self.lambda_min == self.lambda_max:
+            raise ValueError("lambda_steps > 1 needs lambda_min < lambda_max")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not 0 <= self.master_seed < 1 << 32:
+            raise ValueError("master_seed must lie in [0, 2**32)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.schemes = _parse_schemes(self.schemes)
+
     def lambda_grid(self) -> list[float]:
         if self.lambda_steps == 1:
             return [self.lambda_min]
         return [float(x) for x in
                 np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)]
+
+
+# Keyed on the annotation text: both modules postpone annotation evaluation.
+_PARSE_BY_TYPE = {"float": float, "int": int, "str": str, "bool": _parse_bool,
+                  "list[str]": _parse_schemes}
+_KEY_PARSERS = {f.name: _PARSE_BY_TYPE[f.type]
+                for f in (*fields(SystemParams), *fields(RunConfig)) if f.name != "params"}
 
 
 def parse_config(file_text: str, flag_overrides: dict | None = None,
@@ -156,32 +162,11 @@ def parse_config(file_text: str, flag_overrides: dict | None = None,
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}")
 
+    params = {f.name: values.pop(f.name) for f in fields(SystemParams) if f.name in values}
     try:
-        params = SystemParams(**{k: values.pop(k) for k in _PARAM_KEYS if k in values})
+        return RunConfig(params=SystemParams(**params), **values)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    config = RunConfig(params=params, **values)
-
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {', '.join(MODES)}, "
-                          f"got {config.mode!r}")
-    if config.noma_snr_rule not in un.SNR_RULES:
-        raise ConfigError("noma_snr_rule must be one of "
-                          + ", ".join(un.SNR_RULES))
-    if config.lambda_min < 0:
-        raise ConfigError("lambda_min must be >= 0")
-    if config.lambda_min > config.lambda_max:
-        raise ConfigError("lambda_min exceeds lambda_max")
-    if config.lambda_steps < 1:
-        raise ConfigError("lambda_steps must be >= 1")
-    if config.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed must be >= 0")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    config.schemes = _parse_schemes(config.schemes)
-    return config
 
 
 def _format_value(value) -> str:
@@ -316,29 +301,12 @@ def _cmd_cap(config: RunConfig, arrival_rate: float) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--bandwidth-hz", type=float, dest="bandwidth_hz")
-    parser.add_argument("--slot-s", type=float, dest="slot_s")
-    parser.add_argument("--payload-bits", type=float, dest="payload_bits")
-    parser.add_argument("--ref-snr", type=float, dest="ref_snr",
-                        help="linear reference SNR at the cell edge")
-    parser.add_argument("--pathloss-exp", type=float, dest="pathloss_exp")
-    parser.add_argument("--min-slot-s", type=float, dest="min_slot_s")
-    parser.add_argument("--min-subchannel-hz", type=float, dest="min_subchannel_hz")
-    parser.add_argument("--schemes", dest="schemes",
-                        help="comma-separated list, e.g. coordinated-noma,uncoordinated-fdma")
-    parser.add_argument("--mode", choices=MODES, dest="mode")
-    parser.add_argument("--lambda-min", type=float, dest="lambda_min")
-    parser.add_argument("--lambda-max", type=float, dest="lambda_max")
-    parser.add_argument("--lambda-steps", type=int, dest="lambda_steps")
-    parser.add_argument("--trials", type=int, dest="trials")
-    parser.add_argument("--master-seed", type=int, dest="master_seed")
-    parser.add_argument("--output", dest="output_path", metavar="PATH")
-    parser.add_argument("--noma-snr-rule", choices=un.SNR_RULES,
-                        dest="noma_snr_rule")
-    parser.add_argument("--enforce-minimum", action=argparse.BooleanOptionalAction,
-                        dest="enforce_minimum", default=None,
-                        help="pad coordinated allocations up to the partition minima")
-    parser.add_argument("--workers", type=int, dest="workers")
+    for key, parse in _KEY_PARSERS.items():
+        flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+        else:   # parsed with the file values, so a bad one is an error: line
+            parser.add_argument(flag, dest=key)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -349,9 +317,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 file_text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
-    overrides = {key: getattr(args, key) for key in _KEY_PARSERS
-                 if getattr(args, key, None) is not None}
-    return parse_config(file_text, overrides)
+    return parse_config(file_text, {key: getattr(args, key) for key in _KEY_PARSERS})
 
 
 def main(argv=None) -> int:

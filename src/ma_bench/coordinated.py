@@ -56,7 +56,8 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     t, then a walk of at most 64 steps returns the smallest width whose
     shortfall is >= 0 while one float below falls short; past 90% of the
     limit the shortfall is flat over ~1 / (1 - k) floats and the width is the
-    root to ~1e-16 / (1 - k). Lanes with k >= 1 come back as inf.
+    root to ~1e-16 / (1 - k). Lanes with k >= 1, and lanes whose walk ends
+    still short (payloads within rounding of the limit), come back as inf.
     """
     g = np.asarray(gains, dtype=float)
     out = np.full(g.shape, np.inf)
@@ -89,7 +90,7 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
             break
         w = np.where(short, w + stride, np.where(spare, below, w))
         stride = np.where(short, 2.0 * stride, stride)
-    out[feasible] = w
+    out[feasible] = np.where(short, np.inf, w)
     return out
 
 
@@ -104,8 +105,8 @@ def fdma_min_bandwidth(gain: float, params: SystemParams) -> float:
         raise ValueError("gain must be >= 1 (device inside the cell)")
     w = float(min_bandwidth_array(np.array([gain]), params)[0])
     if not np.isfinite(w):
-        raise Infeasible(f"payload {params.payload_bits} bits exceeds the capacity "
-                         f"limit {_deliverable_bits_limit(gain, params):.6g} bits")
+        raise Infeasible(f"payload {params.payload_bits} bits is not deliverable under "
+                         f"the capacity limit {_deliverable_bits_limit(gain, params):.6g} bits")
     return w
 
 

@@ -20,7 +20,7 @@ band, and ``bandwidth_ratio`` the total bandwidth over the occupied one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,11 +51,10 @@ class SystemParams:
     min_subchannel_hz: float = 1e3   # smallest usable FDMA subchannel
 
     def __post_init__(self):
-        for name in ("bandwidth_hz", "slot_s", "payload_bits", "ref_snr",
-                     "pathloss_exp", "min_slot_s", "min_subchannel_hz"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
         if self.min_slot_s > self.slot_s:
             raise ValueError("min_slot_s exceeds slot_s")
         if self.min_subchannel_hz > self.bandwidth_hz:
@@ -82,10 +81,7 @@ class SystemParams:
 
     def digest(self) -> str:
         """Short stable fingerprint of the parameter set, echoed in outputs."""
-        canon = ",".join(
-            repr(getattr(self, name))
-            for name in ("bandwidth_hz", "slot_s", "payload_bits", "ref_snr",
-                         "pathloss_exp", "min_slot_s", "min_subchannel_hz"))
+        canon = ",".join(repr(getattr(self, f.name)) for f in fields(self))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -187,7 +183,12 @@ def trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
     Substreams are keyed on (master_seed, *indices), e.g. (master_seed,
     point, block) in the Monte Carlo engine, so they can run in any order or
     concurrently and still draw identical values. SeedSequence pads short
-    keys with zeros: trailing zero indices leave the stream unchanged.
+    keys with zeros: trailing zero indices leave the stream unchanged. It also
+    splits a key of 2**32 or more into 32-bit words, which would alias another
+    key tuple, so every key must lie in [0, 2**32).
     """
+    key = (master_seed, *indices)
+    if not all(0 <= index < 1 << 32 for index in key):
+        raise ValueError(f"substream keys must lie in [0, 2**32), got {key}")
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((master_seed, *indices))))
+        np.random.SeedSequence(key)))

@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 
 # channel_gain, sample_placement: unused here; bench/tracing.py wraps them here.
-from .model import (COORDINATED, FDMA, NOMA, TDMA, UNCOORDINATED,
-                    SystemParams, TrafficModel, channel_gain, make_device_set,
-                    sample_arrivals, sample_placement, trial_rng)
+from .model import (COORDINATED, FAMILIES, FDMA, NOMA, SCHEMES, TDMA,
+                    UNCOORDINATED, SystemParams, TrafficModel, channel_gain,
+                    make_device_set, sample_arrivals, sample_placement, trial_rng)
 from . import coordinated as co
 from . import uncoordinated as un
 
@@ -47,9 +47,9 @@ class SchemeConfig:
     noma_rule: str = un.NOMINAL
 
     def __post_init__(self):
-        if self.family not in (COORDINATED, UNCOORDINATED):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.scheme not in (FDMA, TDMA, NOMA):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.design is not None and self.tag != f"{UNCOORDINATED}-{self.design.scheme}":
             raise ValueError(f"{self.tag} cannot run a {self.design.scheme} design")
@@ -175,6 +175,15 @@ def aggregate(served, params: SystemParams) -> TrialStats:
                       1.96 * std / math.sqrt(served.size) / params.slot_s)
 
 
+def _checked_grid(lambda_grid) -> list[float]:
+    grid = [float(lam) for lam in lambda_grid]
+    if not grid:
+        raise ValueError("lambda_grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda_grid must be strictly increasing")
+    return grid
+
+
 def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
               trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per arrival rate.
@@ -183,11 +192,7 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     equal inputs and master_seed give bit-identical rows for any worker
     count; workers run contiguous ranges of blocks, merged by block index.
     """
-    grid = [float(lam) for lam in lambda_grid]
-    if not grid:
-        raise ValueError("lambda_grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda_grid must be strictly increasing")
+    grid = _checked_grid(lambda_grid)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -214,18 +219,19 @@ def analytic_rows(config: SchemeConfig, params: SystemParams, lambda_grid,
     """Closed-form counterpart of run_sweep for uncoordinated schemes.
 
     Rows carry the scheme tag suffixed with ``-analytic`` and trials = 1 (a
-    single deterministic evaluation). Coordinated schemes have no closed
-    form and are rejected.
+    single deterministic evaluation). The grid must be non-empty and strictly
+    increasing, as for run_sweep. Coordinated schemes have no closed form and
+    are rejected.
     """
     if config.family != UNCOORDINATED:
         raise ValueError("no closed-form throughput for coordinated schemes; "
                          "run the Monte Carlo sweep")
     rows = []
-    for lam in lambda_grid:
-        traffic = TrafficModel(float(lam))
+    for lam in _checked_grid(lambda_grid):
+        traffic = TrafficModel(lam)
         concrete = resolve_design(config, params, traffic)
         analysis = un.uncoordinated_throughput(concrete.design, params, traffic)
-        rows.append(SweepRow(concrete.tag + "-analytic", float(lam), 1,
+        rows.append(SweepRow(concrete.tag + "-analytic", lam, 1,
                              analysis.expected_success / params.slot_s, 0.0,
                              master_seed, params.digest()))
     return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FDMA, NOMA, TDMA, Infeasible, SystemParams, TrafficModel
+from .model import FDMA, NOMA, SCHEMES, TDMA, Infeasible, SystemParams, TrafficModel
 
 NOMINAL = "nominal"
 REDERIVED = "rederived"
@@ -50,7 +50,7 @@ class UncoordinatedDesign:
     target_snr: float | None = None   # common received SNR, noma only
 
     def __post_init__(self):
-        if self.scheme not in (FDMA, TDMA, NOMA):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.access_prob <= 1.0:
             raise ValueError("access_prob must lie in [0, 1]")

@@ -1,10 +1,18 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+from ma_bench import SystemParams, cli
 from ma_bench.cli import (ConfigError, RunConfig, emit_csv, main,
                           parse_config, CSV_HEADER)
 from ma_bench.sim import SweepRow
+
+# Every config key: the fields of SystemParams and of RunConfig but params.
+KEY_FIELDS = [f for f in (*dataclasses.fields(SystemParams), *dataclasses.fields(RunConfig))
+              if f.name != "params"]
+NON_BOOL_KEYS = [f.name for f in KEY_FIELDS if f.type != "bool"]
 
 
 def run(argv, capsys):
@@ -50,6 +58,14 @@ def test_env_seed_is_lowest_precedence():
         parse_config("", env={"MA_BENCH_SEED": "not-a-seed"})
 
 
+def test_readme_example_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("# example.cfg\n", 1)[1].split("```", 1)[0]
+    config = parse_config(example, env={})
+    assert config.schemes == ["uncoordinated-fdma", "uncoordinated-noma"]
+    assert config.enforce_minimum is False and config.noma_snr_rule == "nominal"
+
+
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="line 2.*bandwidth_mhz"):
         parse_config("trials=10\nbandwidth_mhz=1\n", env={})
@@ -58,6 +74,93 @@ def test_unknown_key_is_named():
 def test_malformed_line_is_named():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("just words\n", env={})
+
+
+def flag(key):
+    return "--output" if key == "output_path" else "--" + key.replace("_", "-")
+
+
+def key_value(config, key):
+    return getattr(config.params if hasattr(config.params, key) else config, key)
+
+
+def changed(value):
+    """Another valid value of a config key's type: numbers doubled or
+    incremented, booleans negated, scheme lists cut to the first scheme;
+    strings (choices and paths) keep their default."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, float):
+        return 2.0 * value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return value[:1]
+    return value
+
+
+def as_text(value):
+    if isinstance(value, list):
+        return ",".join(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("key", [f.name for f in KEY_FIELDS])
+def test_every_key_is_a_file_key_and_a_flag(key, monkeypatch, capsys):
+    monkeypatch.delenv("MA_BENCH_SEED", raising=False)
+    value = changed(key_value(RunConfig(), key))
+    from_file = parse_config(f"{key}={as_text(value)}\n", env={})
+    assert key_value(from_file, key) == value
+
+    seen = []
+
+    def spy(*args):
+        seen.append(parse_config(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "parse_config", spy)
+    if isinstance(value, bool):
+        argv = [flag(key) if value else "--no-" + flag(key)[2:]]
+    else:
+        argv = [flag(key), as_text(value)]
+    status, _, err = run(["cap"] + argv, capsys)
+    assert status == 0, err
+    assert seen == [from_file]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", NON_BOOL_KEYS)
+def test_bad_value_for_every_key_is_one_error_line(key, source, tmp_path, capsys):
+    # a path into no directory: not a number, a choice, a scheme list or a
+    # writable output
+    bad = str(tmp_path / "no" / "such" / "dir.csv")
+    out_path = tmp_path / "rows.csv"
+    settings = {"mode": "analytic", "schemes": "uncoordinated-fdma",
+                "lambda_steps": "1", "output_path": str(out_path), key: bad}
+    if source == "flag":
+        argv = [arg for k, v in settings.items() for arg in (flag(k), v)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        argv = ["--config", str(cfg)]
+    status, _, err = run(["sweep"] + argv, capsys)
+    assert status == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not out_path.exists()
+
+
+def test_run_config_validates_when_built_directly():
+    for bad in (dict(mode="quick"), dict(noma_snr_rule="bogus"), dict(lambda_min=-1.0),
+                dict(lambda_min=30000.0), dict(lambda_steps=0),
+                dict(lambda_min=500.0, lambda_max=500.0, lambda_steps=2),
+                dict(trials=0), dict(master_seed=-1), dict(master_seed=2 ** 32),
+                dict(workers=0), dict(schemes=["fdma"]), dict(schemes=[])):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    assert RunConfig(schemes="uncoordinated-noma").schemes == ["uncoordinated-noma"]
+    assert RunConfig(lambda_min=500.0, lambda_max=500.0, lambda_steps=1).lambda_grid() == [500.0]
+    assert RunConfig(master_seed=2 ** 32 - 1).master_seed == 2 ** 32 - 1
 
 
 def test_invariants_revalidated():
@@ -193,6 +296,37 @@ def test_sweep_writes_csv_and_reports(tmp_path, capsys):
     assert len(lines) == 1 + 4      # analytic + monte carlo rows, 2 rates each
     digest = parse_config("", env={}).params.digest()
     assert all(line.endswith(digest) for line in lines[1:])
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+def test_sweep_rejects_a_grid_of_one_repeated_rate(mode, tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", "--schemes", "uncoordinated-fdma", "--mode", mode,
+                          "--lambda-min", "100", "--lambda-max", "100",
+                          "--lambda-steps", "3", "--trials", "5",
+                          "--output", str(out_path)], capsys)
+    assert status == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "lambda" in lines[0]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+def test_master_seed_must_fit_in_32_bits(source, tmp_path, monkeypatch, capsys):
+    # SeedSequence would split 2**32 into words and alias the streams of seed 0
+    monkeypatch.delenv("MA_BENCH_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("master_seed=4294967296\n" if source == "file" else "")
+    if source == "env":
+        monkeypatch.setenv("MA_BENCH_SEED", "4294967296")
+    argv = ["cap", "--config", str(cfg)]
+    if source == "flag":
+        argv += ["--master-seed", "4294967296"]
+    status, out, err = run(argv, capsys)
+    assert status == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "master_seed" in lines[0]
+    assert run(["cap", "--master-seed", str(2 ** 32 - 1)], capsys)[0] == 0
 
 
 def test_sweep_analytic_mode_rejects_coordinated(tmp_path, capsys):

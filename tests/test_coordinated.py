@@ -20,8 +20,9 @@ def residual(w, gain, params):
 def delivered(width, gain, params):
     """Bits delivered over a subchannel of this width, evaluated as the solver
     does: log2(1 + x) rounds differently from log1p(x) / ln 2 at the last
-    float, so only this form can judge the one-float-below property."""
-    return width * params.slot_s * math.log1p(
+    float, and math.log1p from numpy's log1p, so only this form can judge the
+    one-float-below property."""
+    return width * params.slot_s * np.log1p(
         params.ref_snr * params.bandwidth_hz * gain / width) / math.log(2.0)
 
 
@@ -72,6 +73,23 @@ def test_min_bandwidth_array_marks_infeasible_lanes():
         for gain in gains:
             with pytest.raises(Infeasible):
                 fdma_min_bandwidth(gain, params)
+    # 1-1000 floats under the limit the computed deliverable may never reach
+    # the payload: such a lane is infeasible, and every finite width delivers
+    rng = trial_rng(34, 0)
+    for _ in range(200):
+        bandwidth, slot = 10 ** rng.uniform(5.0, 7.0), rng.uniform(0.1, 2.0)
+        ref_snr, gain = 10 ** rng.uniform(-2.0, 1.0), 10 ** rng.uniform(0.0, 1.7)
+        limit = slot * ref_snr * bandwidth * gain / math.log(2.0)
+        for ulps in (1, 2, 10, 100, 1000):
+            params = SystemParams(bandwidth_hz=bandwidth, slot_s=slot, ref_snr=ref_snr,
+                                  payload_bits=limit - ulps * np.spacing(limit),
+                                  min_slot_s=slot / 10, min_subchannel_hz=bandwidth / 1e3)
+            w = min_bandwidth_array(np.array([gain]), params)[0]
+            if np.isfinite(w):
+                assert delivered(w, gain, params) >= params.payload_bits
+            else:
+                with pytest.raises(Infeasible):
+                    fdma_min_bandwidth(gain, params)
 
 
 def test_min_bandwidth_converged_bracket_straddles_root(params):

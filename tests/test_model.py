@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,6 +141,17 @@ def test_trial_rng_substreams_independent():
     assert not np.array_equal(block, first) and not np.array_equal(block, other)
 
 
+def test_trial_rng_keys_must_fit_in_32_bits():
+    # SeedSequence splits a key >= 2**32 into 32-bit words: (2**32, 5, 0)
+    # would draw exactly what (0, 1, 5) draws
+    for key in ((2 ** 32, 5, 0), (-1, 0), (0, 2 ** 32), (0, 1, -1), (2 ** 40,)):
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            trial_rng(*key)
+    top = trial_rng(2 ** 32 - 1, 2 ** 32 - 1).random(4)
+    plain = np.random.SeedSequence((2 ** 32 - 1, 2 ** 32 - 1))
+    assert np.array_equal(top, np.random.Generator(np.random.PCG64(plain)).random(4))
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams(payload_bits=0.0)
@@ -176,3 +188,22 @@ def test_snr_floor_matches_definition(params):
 def test_digest_tracks_parameters(params):
     assert params.digest() == SystemParams().digest()
     assert params.digest() != SystemParams(ref_snr=2.0).digest()
+
+
+def test_default_digest_is_pinned():
+    # rows written by earlier versions carry this digest for the defaults
+    assert SystemParams().digest() == "1622cd6dec97"
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+def test_digest_covers_every_field(name):
+    base = SystemParams()
+    nudged = dataclasses.replace(base, **{name: math.nextafter(getattr(base, name), math.inf)})
+    assert nudged.digest() != base.digest()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+def test_every_field_must_be_positive_and_finite(name):
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=name):
+            SystemParams(**{name: bad})

@@ -173,6 +173,10 @@ def test_analytic_rows_uncoordinated_only(params):
     assert rows[0].mean_throughput_pps == pytest.approx(100.0, rel=1e-9)
     with pytest.raises(ValueError):
         analytic_rows(SchemeConfig("coordinated", "noma"), params, [100.0], SEED)
+    # the grid run_sweep accepts: non-empty and strictly increasing
+    for grid in ([], [100.0, 100.0], [200.0, 100.0]):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            analytic_rows(SchemeConfig("uncoordinated", "noma"), params, grid, SEED)
 
 
 def test_scheme_config_validation():
