@@ -2,7 +2,7 @@
 uncoordinated multiple access (TDMA / FDMA / NOMA) in cellular M2M uplinks."""
 
 from .model import (COORDINATED, FDMA, NOMA, SCHEMES, TDMA, UNCOORDINATED,
-                    DeviceSet, Infeasible, SystemParams, TrafficModel,
+                    DeviceSet, Infeasible, StrongestFirst, SystemParams, TrafficModel,
                     channel_gain, make_device_set, received_snr,
                     sample_arrivals, sample_placement, trial_rng)
 from .coordinated import (CoordinatedAllocation, fdma_kmax, fdma_min_bandwidth,

@@ -120,6 +120,13 @@ _KEY_PARSERS = {f.name: _PARSE_BY_TYPE[f.type]
                 for f in (*fields(SystemParams), *fields(RunConfig)) if f.name != "params"}
 
 
+def _flag_value(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}")
+
+
 def parse_config(file_text: str, flag_overrides: dict | None = None,
                  env: dict | None = None) -> RunConfig:
     """Build a RunConfig from file text, flag overrides and the environment.
@@ -157,10 +164,8 @@ def parse_config(file_text: str, flag_overrides: dict | None = None,
             continue
         if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown key {key!r}")
-        try:
-            values[key] = _KEY_PARSERS[key](value) if isinstance(value, str) else value
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}")
+        values[key] = _flag_value(key, _KEY_PARSERS[key], value) \
+            if isinstance(value, str) else value
 
     params = {f.name: values.pop(f.name) for f in fields(SystemParams) if f.name in values}
     try:
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(name, help=help_text)
         _add_common_flags(sub)
         if name in ("coordinated", "uncoordinated", "cap"):
-            sub.add_argument("--arrival-rate", type=float, default=None,
+            sub.add_argument("--arrival-rate", default=None,
                              help="packets per second (default: lambda_min)")
 
     try:
@@ -346,7 +351,8 @@ def main(argv=None) -> int:
         config = _load_config(args)
         if args.command == "sweep":
             return _cmd_sweep(config)
-        rate = args.arrival_rate if args.arrival_rate is not None else config.lambda_min
+        rate = config.lambda_min if args.arrival_rate is None else _flag_value(
+            "arrival_rate", _PARSE_BY_TYPE["float"], args.arrival_rate)
         if rate < 0:
             raise ConfigError("arrival rate must be >= 0")
         if args.command == "coordinated":

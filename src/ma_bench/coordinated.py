@@ -6,7 +6,11 @@ slot supports: FDMA hands every device the smallest subchannel that carries
 its packet, TDMA the smallest time share, and superposition (NOMA) stacks
 all devices on the full band with the minimal power staircase that keeps
 every successive-cancellation stage decodable. Devices are admitted
-strongest gain first, since weaker devices always need more resource.
+strongest gain first, since weaker devices always need more resource, and
+each kernel stops at the first device that does not fit. The kernels read
+the gains in chunks (``gain_chunks()`` or ``log2_gain_chunks()`` of a
+DeviceSet, one chunk, or of a StrongestFirst, drawn as read), so a chunked
+source is drawn only as far as the admitted prefix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FDMA, NOMA, TDMA, DeviceSet, Infeasible, SystemParams
+from .model import FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst, SystemParams
 
 _LN2 = math.log(2.0)
 
@@ -25,6 +29,11 @@ _LN2 = math.log(2.0)
 # slack so exactly-filling allocations are admitted.
 _BUDGET_TOL = 1e-9
 
+# Devices per demand evaluation: bounds the FDMA solver's temporaries, and the
+# lanes it solves past the first device that does not fit, to this many. It is
+# StrongestFirst's first chunk, so every chunk splits into whole slices.
+_DEMAND_SLICE = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class CoordinatedAllocation:
@@ -32,18 +41,28 @@ class CoordinatedAllocation:
 
     scheme: str             # fdma | tdma | noma
     admitted: int
-    gains: np.ndarray       # admitted devices, strongest first
-    resources: np.ndarray   # Hz (fdma), seconds (tdma), power fraction (noma)
-
-    @property
-    def per_device(self) -> list[tuple[float, float]]:
-        return list(zip(self.gains.tolist(), self.resources.tolist()))
+    resources: np.ndarray   # per admitted device, strongest first: Hz (fdma),
+                            # seconds (tdma), power fraction (noma)
 
 
 def _deliverable_bits_limit(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     """Bits deliverable in one slot as the subchannel grows without bound:
     slot_s * ref_snr * bandwidth_hz * gain / ln 2."""
     return params.slot_s * params.ref_snr * params.bandwidth_hz * gains / _LN2
+
+
+def _log_growth_root(k: np.ndarray) -> np.ndarray:
+    """Nonzero root t of t = k (e^t - 1) for 0 < k < 1, by four Newton steps."""
+    # Seed right of the root and of the maximum of the concave t - k (e^t - 1)
+    # at t = peak, so Newton falls onto the root; c >= gap^2/2 beats cancellation.
+    gap = 1.0 - k
+    peak = -np.log(k)
+    c = np.maximum(peak - gap, 0.5 * gap * gap)
+    t = peak + np.log1p(np.sqrt(2.0 * c) + c)
+    for _ in range(4):
+        grown = np.expm1(t)
+        t -= (t - k * grown) / (gap - k * grown)
+    return t
 
 
 def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -67,30 +86,28 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
         return out
     power_term = params.ref_snr * params.bandwidth_hz * g[feasible]
 
-    def shortfall(w):
-        return w * params.slot_s * np.log1p(power_term / w) / _LN2 - params.payload_bits
+    def shortfall(w, term):
+        return w * params.slot_s * np.log1p(term / w) / _LN2 - params.payload_bits
 
-    # Seed right of the root and of the maximum of the concave t - k (e^t - 1)
-    # at t = peak, so Newton falls onto the root; c >= gap^2/2 beats cancellation.
     k = params.payload_bits / limit[feasible]
-    gap = 1.0 - k
-    peak = -np.log(k)
-    c = np.maximum(peak - gap, 0.5 * gap * gap)
-    t = peak + np.log1p(np.sqrt(2.0 * c) + c)
-    for _ in range(4):
-        grown = np.expm1(t)
-        t -= (t - k * grown) / (gap - k * grown)
-    w = power_term * k / t
-    stride = np.spacing(w)   # falling short: gallop up; else step down to the edge
+    w = power_term * k / _log_growth_root(k)
+    # Falling short: gallop up; else step down to the edge. A lane neither
+    # short nor spare keeps its width, so each pass walks only the lanes that
+    # moved on the pass before: their indices, widths, power terms and strides.
+    lane, at, term, stride = np.arange(w.size), w, power_term, np.spacing(w)
     for _ in range(64):
-        below = np.nextafter(w, 0.0)
-        short = shortfall(w) < 0
-        spare = shortfall(below) >= 0
-        if not (short.any() or spare.any()):
+        below = np.nextafter(at, 0.0)
+        short = shortfall(at, term) < 0
+        spare = shortfall(below, term) >= 0
+        at = np.where(short, at + stride, np.where(spare, below, at))
+        w[lane] = at
+        keep = np.flatnonzero(short | spare)
+        lane, at, term, short = lane[keep], at[keep], term[keep], short[keep]
+        stride = np.where(short, 2.0 * stride[keep], stride[keep])
+        if not lane.size:
             break
-        w = np.where(short, w + stride, np.where(spare, below, w))
-        stride = np.where(short, 2.0 * stride, stride)
-    out[feasible] = np.where(short, np.inf, w)
+    w[lane[short]] = np.inf   # still short after the last pass
+    out[feasible] = w
     return out
 
 
@@ -124,35 +141,37 @@ def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
         params.bandwidth_hz * np.log1p(params.ref_snr * np.asarray(gains, dtype=float)))
 
 
-def _greedy_admit(gains: np.ndarray, params: SystemParams, budget: float,
-                  minimum: float, per_device, chunk: int = 4096):
+def _greedy_admit(gain_chunks, params: SystemParams, budget: float,
+                  minimum: float, per_device):
     """Admit strongest-first while the running resource sum fits the budget.
 
     ``per_device`` maps a gain chunk to its resource demand (nondecreasing as
-    gains fall, so the first device that does not fit ends the admission).
-    Demands below ``minimum`` are padded up to it. Returns (count, resources).
+    gains fall, so the first device that does not fit ends the admission and
+    no later chunk is read). Demands below ``minimum`` are padded up to it.
+    The running sum is one sequence of additions across chunks, so the count
+    does not depend on where the chunks split. Returns the admitted devices'
+    resources.
     """
-    taken = []
+    resources = []
     used = 0.0
     limit = budget * (1.0 + _BUDGET_TOL)
-    count = 0
-    for start in range(0, gains.size, chunk):
-        demand = per_device(gains[start:start + chunk], params)
+    parts = (chunk[start:start + _DEMAND_SLICE]
+             for chunk in gain_chunks for start in range(0, chunk.size, _DEMAND_SLICE))
+    for part in parts:
+        demand = per_device(part, params)
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
-        running = used + np.cumsum(demand)
-        fit = int(np.searchsorted(running, limit, side="right"))
-        if fit:
-            taken.append(demand[:fit])
-            count += fit
+        running = np.concatenate(([used], demand))
+        running.cumsum(out=running)
+        fit = int(running[1:].searchsorted(limit, side="right"))
+        resources.append(demand[:fit])
         if fit < demand.size:
             break
         used = float(running[-1])
-    resources = np.concatenate(taken) if taken else np.empty(0)
-    return count, resources
+    return np.concatenate(resources) if resources else np.empty(0)
 
 
-def fdma_kmax(devices: DeviceSet, params: SystemParams,
+def fdma_kmax(devices: DeviceSet | StrongestFirst, params: SystemParams,
               enforce_minimum: bool = False) -> CoordinatedAllocation:
     """Largest device prefix whose minimal subchannels fit in the band.
 
@@ -160,18 +179,18 @@ def fdma_kmax(devices: DeviceSet, params: SystemParams,
     min_subchannel_hz, which also caps the count at
     bandwidth_hz / min_subchannel_hz."""
     minimum = params.min_subchannel_hz if enforce_minimum else 0.0
-    count, resources = _greedy_admit(
-        devices.gains, params, params.bandwidth_hz, minimum, min_bandwidth_array)
-    return CoordinatedAllocation(FDMA, count, devices.gains[:count], resources)
+    resources = _greedy_admit(
+        devices.gain_chunks(), params, params.bandwidth_hz, minimum, min_bandwidth_array)
+    return CoordinatedAllocation(FDMA, resources.size, resources)
 
 
-def tdma_kmax(devices: DeviceSet, params: SystemParams,
+def tdma_kmax(devices: DeviceSet | StrongestFirst, params: SystemParams,
               enforce_minimum: bool = False) -> CoordinatedAllocation:
     """Largest device prefix whose minimal time shares fit in the slot."""
     minimum = params.min_slot_s if enforce_minimum else 0.0
-    count, resources = _greedy_admit(
-        devices.gains, params, params.slot_s, minimum, _min_time_array)
-    return CoordinatedAllocation(TDMA, count, devices.gains[:count], resources)
+    resources = _greedy_admit(
+        devices.gain_chunks(), params, params.slot_s, minimum, _min_time_array)
+    return CoordinatedAllocation(TDMA, resources.size, resources)
 
 
 def noma_power_allocation(devices: DeviceSet, params: SystemParams) -> np.ndarray:
@@ -194,29 +213,38 @@ def noma_power_allocation(devices: DeviceSet, params: SystemParams) -> np.ndarra
         params.ref_snr * devices.gains)
 
 
-def noma_admitted_count(gains: np.ndarray, params: SystemParams) -> int:
+def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams) -> int:
     """Largest prefix length with a realizable power stack (all fractions <= 1).
 
-    Feasibility is monotone (each extra device scales every earlier power by
-    2**spectral_load), so grow the prefix while the tightest per-device bound
+    Each extra device scales every earlier power by 2**spectral_load, so the
+    i-th strongest device (1-based) caps every stack that includes it at
 
-        K <= i + log2(ref_snr * gain_i / snr_floor) / spectral_load
+        K <= i + x_i,   x_i = log2(ref_snr * gain_i / snr_floor) / spectral_load,
 
-    still holds.
+    and the count is K* = min(n, min_i max(i - 1, floor(i + x_i))). Gains are
+    >= 1, so x_i is at least its cell-edge value: once no unread device can
+    lower the minimum, no further chunk is read.
     """
-    g = np.asarray(gains, dtype=float)
-    if g.size == 0:
-        return 0
     load = params.spectral_load
-    largest_stack = np.arange(1, g.size + 1) + np.log2(
-        params.ref_snr * g / params.snr_floor) / load
-    tightest = np.minimum.accumulate(largest_stack)
-    return int(np.count_nonzero(tightest >= np.arange(1, g.size + 1)))
+    offset = math.log2(params.ref_snr / params.snr_floor)
+    edge = offset / load
+    bound, done = float(len(devices)), 0
+    chunks = iter(devices.log2_gain_chunks())
+    while bound > max(done, np.floor(done + 1.0 + edge)):
+        log2_gains = next(chunks)
+        rank = np.arange(done + 1.0, done + log2_gains.size + 1.0)
+        stack = offset + log2_gains   # then in place: two arrays per chunk
+        stack /= load
+        stack += rank
+        np.floor(stack, out=stack)
+        rank -= 1.0
+        bound = min(bound, float(np.maximum(rank, stack, out=stack).min()))
+        done += log2_gains.size
+    return int(bound)
 
 
 def noma_kmax(devices: DeviceSet, params: SystemParams) -> CoordinatedAllocation:
     """Largest device prefix the superposition scheme can serve at once."""
-    count = noma_admitted_count(devices.gains, params)
-    admitted = devices.top(count)
-    powers = noma_power_allocation(admitted, params) if count else np.empty(0)
-    return CoordinatedAllocation(NOMA, count, admitted.gains, powers)
+    count = noma_admitted_count(devices, params)
+    powers = noma_power_allocation(devices.top(count), params) if count else np.empty(0)
+    return CoordinatedAllocation(NOMA, count, powers)

@@ -117,6 +117,74 @@ class DeviceSet:
         """The ``count`` strongest devices."""
         return DeviceSet(self.gains[:count])
 
+    def gain_chunks(self) -> tuple[np.ndarray]:
+        """The gains as one chunk, the form the admission kernels read."""
+        return (self.gains,)
+
+    def log2_gain_chunks(self) -> tuple[np.ndarray]:
+        """log2 of the gains as one chunk."""
+        return (np.log2(self.gains),)
+
+
+# Smallest squared distance a placement takes: that of 1 - random(), so a zero
+# spacing gives the strongest gain a placement can have rather than inf.
+_NEAREST = 2.0 ** -53
+
+
+class StrongestFirst:
+    """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
+    first in chunks of 2048, 4096, ... devices as a reader asks for them, so
+    a reader that stops early never draws the rest.
+
+    The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
+    their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
+    n + 1 standard exponentials (Devroye 1986, ch. V). A chunk of k after the
+    first ``done`` devices draws k exponentials and one Gamma(n + 1 - done - k)
+    for the rest of the sum, rescaled to the gap still left above v_(done) (a
+    Dirichlet split), so every prefix has exactly the law of the sorted
+    placement (make_device_set). Gains are v**(-pathloss_exp / 2).
+
+    Chunks draw from ``rng`` as they are read: read each instance once.
+    """
+
+    def __init__(self, count: int, pathloss_exp: float, rng: np.random.Generator):
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        self.count = count
+        self._half_exp = 0.5 * pathloss_exp
+        self._rng = rng
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _placements(self):
+        """Chunks of the ascending v_(i)."""
+        done, below, gap, size = 0, 0.0, 1.0, 2048
+        while done < self.count:
+            size = min(size, self.count - done)
+            v = self._rng.standard_exponential(size)
+            v.cumsum(out=v)
+            rest = self._rng.standard_gamma(self.count + 1 - done - size)
+            scale = gap / (v[-1] + rest)
+            v *= scale
+            v += below
+            below, gap = v[-1], scale * rest
+            done += size
+            size *= 2
+            yield v.clip(_NEAREST, 1.0, out=v)
+
+    # Both map each chunk in place: a suspended reader holds one array.
+    def gain_chunks(self):
+        for v in self._placements():
+            yield np.power(v, -self._half_exp, out=v)
+
+    def log2_gain_chunks(self):
+        """log2 of the gains, -(pathloss_exp / 2) * log2(v): no power taken."""
+        for v in self._placements():
+            np.log2(v, out=v)
+            v *= -self._half_exp
+            yield v
+
 
 def channel_gain(normalized_distance, pathloss_exp: float):
     """Path-loss gain u**(-pathloss_exp) of a device at distance u = r/R.
@@ -132,21 +200,16 @@ def channel_gain(normalized_distance, pathloss_exp: float):
     return out if out.ndim else float(out)
 
 
-def placement_from_uniform(v):
-    """Inverse-CDF map from uniform v in (0, 1] to a normalized distance.
+def sample_placement(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized distances of ``count`` devices dropped uniformly in the cell.
 
     Uniform placement over the disc puts density 2u on the normalized
-    distance, i.e. CDF u**2, so u = sqrt(v).
+    distance u, i.e. CDF u**2, so u = sqrt(v) for v uniform.
     """
-    return np.sqrt(v)
-
-
-def sample_placement(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized distances of ``count`` devices dropped uniformly in the cell."""
     if count < 0:
         raise ValueError("count must be >= 0")
     # 1 - random() lies in (0, 1]: keeps distances strictly positive.
-    return placement_from_uniform(1.0 - rng.random(count))
+    return np.sqrt(1.0 - rng.random(count))
 
 
 def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generator,
@@ -171,7 +234,10 @@ def received_snr(normalized_power: float, bandwidth_ratio: float,
 
 
 def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) -> DeviceSet:
-    """Sample ``count`` placements and return their gains sorted descending."""
+    """Sample ``count`` placements and return their gains sorted descending.
+
+    All of them are placed and sorted; StrongestFirst draws the same law a
+    prefix at a time."""
     u = sample_placement(count, rng)
     g = channel_gain(u, params.pathloss_exp) if count else np.empty(0)
     return DeviceSet(np.sort(np.asarray(g))[::-1])

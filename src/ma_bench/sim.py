@@ -4,7 +4,10 @@ Seeded Monte Carlo engine.
 Every trial realizes one slot: Poisson arrivals, then the scheme's admission
 or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
-bit-identical for any worker count. A random-access block is array operations.
+bit-identical for any worker count. A coordinated slot draws its gains
+strongest first from exponential spacings and stops at the first device that
+does not fit, so it draws only the prefix admission reads; a random-access
+block is array operations and places no device.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from functools import partial
 
 import numpy as np
 
-# channel_gain, sample_placement: unused here; bench/tracing.py wraps them here.
+# make_device_set, channel_gain, sample_placement are not called here: the
+# engine draws no full placement. bench/tracing.py wraps these names here.
 from .model import (COORDINATED, FAMILIES, FDMA, NOMA, SCHEMES, TDMA,
-                    UNCOORDINATED, SystemParams, TrafficModel, channel_gain,
-                    make_device_set, sample_arrivals, sample_placement, trial_rng)
+                    UNCOORDINATED, StrongestFirst, SystemParams, TrafficModel,
+                    channel_gain, make_device_set, sample_arrivals,
+                    sample_placement, trial_rng)
 from . import coordinated as co
 from . import uncoordinated as un
 
@@ -105,13 +110,14 @@ def resolve_design(config: SchemeConfig, params: SystemParams,
 
 def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
               rng: np.random.Generator) -> int:
-    """Realize ``arrivals`` devices in one coordinated slot; count those admitted."""
-    devices = make_device_set(arrivals, params, rng)
+    """Count the devices admitted in one coordinated slot with ``arrivals``
+    devices: their gains are drawn strongest first, as far as admission reads."""
+    devices = StrongestFirst(arrivals, params.pathloss_exp, rng)
     if config.scheme == FDMA:
         return co.fdma_kmax(devices, params, config.enforce_minimum).admitted
     if config.scheme == TDMA:
         return co.tdma_kmax(devices, params, config.enforce_minimum).admitted
-    return co.noma_admitted_count(devices.gains, params)
+    return co.noma_admitted_count(devices, params)
 
 
 def _alone(transmitting: np.ndarray, partitions: int,

@@ -150,6 +150,17 @@ def test_bad_value_for_every_key_is_one_error_line(key, source, tmp_path, capsys
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+@pytest.mark.parametrize("command", ["coordinated", "uncoordinated", "cap"])
+def test_bad_arrival_rate_is_one_error_line(command, value, capsys):
+    # --arrival-rate is no config key, but is parsed like one
+    status, out, err = run([command, "--arrival-rate", value], capsys)
+    assert status == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_run_config_validates_when_built_directly():
     for bad in (dict(mode="quick"), dict(noma_snr_rule="bogus"), dict(lambda_min=-1.0),
                 dict(lambda_min=30000.0), dict(lambda_steps=0),
@@ -387,6 +398,16 @@ def test_coordinated_summary_table(capsys):
                           "--schemes", "coordinated-tdma,coordinated-noma"], capsys)
     assert status == 0
     assert "coordinated-tdma" in out and "coordinated-noma" in out
+
+
+def test_coordinated_at_a_hundred_million_arrivals_prints_a_result(capsys):
+    # each scheme draws only about as many devices as it admits (a few 10^4)
+    status, out, err = run(["coordinated", "--arrival-rate", "1e8", "--trials", "1"], capsys)
+    assert status == 0, err
+    served = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()
+              if line.startswith("coordinated-")}
+    assert set(served) == {"coordinated-fdma", "coordinated-tdma", "coordinated-noma"}
+    assert all(1e4 < value < 1e5 for value in served.values())
 
 
 def test_coordinated_analytic_mode_rejected(capsys):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ma_bench import (DeviceSet, Infeasible, SystemParams, TrafficModel,
-                      fdma_kmax, fdma_min_bandwidth, make_device_set,
-                      noma_kmax, noma_power_allocation, tdma_kmax,
-                      tdma_min_time, trial_rng)
+from ma_bench import (DeviceSet, Infeasible, StrongestFirst, SystemParams,
+                      TrafficModel, fdma_kmax, fdma_min_bandwidth,
+                      make_device_set, noma_kmax, noma_power_allocation,
+                      tdma_kmax, tdma_min_time, trial_rng)
 from ma_bench.coordinated import min_bandwidth_array, noma_admitted_count
 
 
@@ -24,6 +25,35 @@ def delivered(width, gain, params):
     one-float-below property."""
     return width * params.slot_s * np.log1p(
         params.ref_snr * params.bandwidth_hz * gain / width) / math.log(2.0)
+
+
+class Chunked:
+    """Given gains, strongest first, served in chunks split at ``cuts``, the
+    way a StrongestFirst serves the gains it draws."""
+
+    def __init__(self, gains, cuts):
+        self.gains, self.cuts = gains, sorted(set(cuts))
+
+    def __len__(self):
+        return self.gains.size
+
+    def _split(self, values):
+        return iter([chunk for chunk in np.split(values, self.cuts) if chunk.size])
+
+    def gain_chunks(self):
+        return self._split(self.gains)
+
+    def log2_gain_chunks(self):
+        return self._split(np.log2(self.gains))
+
+
+def running_minimum_count(gains, params):
+    """The NOMA count grown device by device: the longest prefix whose
+    tightest per-device stack cap, a running minimum, still admits it. x_i
+    is rounded as the kernel rounds it."""
+    rank = np.arange(1, gains.size + 1)
+    x = (math.log2(params.ref_snr / params.snr_floor) + np.log2(gains)) / params.spectral_load
+    return int(np.count_nonzero(np.minimum.accumulate(rank + x) >= rank))
 
 
 def recompute_sic_snr(powers, gains, ref_snr):
@@ -274,12 +304,89 @@ def test_noma_kmax_prefix_feasible_and_powers_bounded(params):
 
 
 def test_noma_kmax_monotone_in_ref_snr():
-    gains = make_device_set(500, SystemParams(), trial_rng(2, 9)).gains
+    devices = make_device_set(500, SystemParams(), trial_rng(2, 9))
     previous = -1
     for mu in (0.25, 0.5, 1.0, 2.0, 4.0):
-        count = noma_admitted_count(gains, SystemParams(ref_snr=mu))
+        count = noma_admitted_count(devices, SystemParams(ref_snr=mu))
         assert count >= previous
         previous = count
+
+
+@st.composite
+def stacks(draw):
+    """Gains strongest first (ties included), chunk cuts and a parameter set
+    whose count ranges from 0 to every device."""
+    params = SystemParams(payload_bits=1e6 * draw(st.floats(1e-3, 3.0)),
+                          ref_snr=draw(st.floats(1e-3, 1e3)))
+    n = draw(st.integers(0, 400))
+    log2_gains = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    gains = np.sort(2.0 ** np.array(log2_gains, dtype=float))[::-1]
+    cuts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5))
+    return params, gains, cuts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stacks())
+def test_noma_closed_form_equals_running_minimum(case):
+    params, gains, cuts = case
+    expected = running_minimum_count(gains, params)
+    assert noma_admitted_count(DeviceSet(gains), params) == expected
+    assert noma_admitted_count(Chunked(gains, cuts), params) == expected
+
+
+def test_noma_closed_form_on_drawn_gains():
+    # heavy load (spectral load 1) and the default; drawn strongest first
+    for params in (SystemParams(), SystemParams(payload_bits=1e6, ref_snr=50.0)):
+        for seed in range(20):
+            gains = np.concatenate(list(StrongestFirst(
+                20_000, params.pathloss_exp, trial_rng(seed, 13)).gain_chunks()))
+            assert noma_admitted_count(DeviceSet(gains), params) \
+                == running_minimum_count(gains, params)
+
+
+@pytest.mark.parametrize("kmax", [fdma_kmax, tdma_kmax])
+def test_greedy_admission_does_not_depend_on_chunking(kmax):
+    for payload in (1000.0, 3000.0, 20000.0):
+        params = SystemParams(payload_bits=payload)
+        gains = make_device_set(12_000, params, trial_rng(8, int(payload))).gains
+        whole = kmax(DeviceSet(gains), params)
+        for cuts in ([1], [2048, 6144], [17, 4000, 4097, 9000, 11_999]):
+            split = kmax(Chunked(gains, cuts), params)
+            assert split.admitted == whole.admitted
+            assert np.array_equal(split.resources, whole.resources)
+
+
+class ZeroFirstSpacing:
+    """A generator whose first exponential draw is exactly 0."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def standard_exponential(self, size):
+        draws = self.rng.standard_exponential(size)
+        if self.first:
+            draws[0], self.first = 0.0, False
+        return draws
+
+    def standard_gamma(self, shape):
+        return self.rng.standard_gamma(shape)
+
+
+def test_zero_spacing_reaches_no_kernel_as_inf_or_nan(params):
+    def devices(count):
+        return StrongestFirst(count, params.pathloss_exp, ZeroFirstSpacing(trial_rng(6, 0)))
+
+    # v_(1) = 0 is held at 2**-53, the nearest placement 1 - random() gives
+    gains = next(devices(3000).gain_chunks())
+    assert gains[0] == 2.0 ** 106 and np.all(np.isfinite(gains))
+    assert next(devices(3000).log2_gain_chunks())[0] == 106.0
+    for kmax in (fdma_kmax, tdma_kmax):
+        alloc = kmax(devices(3000), params)
+        assert 0 < alloc.admitted <= 3000
+        assert np.all(np.isfinite(alloc.resources))
+        assert np.all(alloc.resources > 0.0)
+    assert noma_admitted_count(devices(30_000), params) > 0
+    assert np.isfinite(fdma_min_bandwidth(2.0 ** 106, params))
 
 
 @pytest.mark.parametrize("kmax", [fdma_kmax, tdma_kmax, noma_kmax])

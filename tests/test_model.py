@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ma_bench import (DeviceSet, SystemParams, TrafficModel, channel_gain,
-                      make_device_set, received_snr, sample_arrivals,
-                      sample_placement, trial_rng)
-from ma_bench.model import placement_from_uniform
+from ma_bench import (DeviceSet, StrongestFirst, SystemParams, TrafficModel,
+                      channel_gain, make_device_set, received_snr,
+                      sample_arrivals, sample_placement, trial_rng)
 
 
 def test_channel_gain_examples():
@@ -29,11 +28,6 @@ def test_channel_gain_decreasing_and_at_least_one():
     assert np.all(g >= 1.0)
 
 
-def test_placement_inverse_cdf():
-    assert placement_from_uniform(0.25) == 0.5
-    assert placement_from_uniform(1.0) == 1.0
-
-
 def test_sample_placement_empty_and_range():
     rng = trial_rng(1, 0)
     assert sample_placement(0, rng).size == 0
@@ -50,6 +44,58 @@ def test_sample_placement_matches_disc_cdf():
     ks = max(np.max((steps + 1) / n - cdf), np.max(cdf - steps / n))
     critical_1pct = 1.6276236307187292 / math.sqrt(n)
     assert ks < critical_1pct
+
+
+def two_sample_ks(first, second):
+    """Largest gap between the empirical CDFs of two samples."""
+    points = np.concatenate([first, second])
+    return np.max(np.abs(
+        np.searchsorted(np.sort(first), points, side="right") / first.size
+        - np.searchsorted(np.sort(second), points, side="right") / second.size))
+
+
+def test_strongest_first_has_the_law_of_sorted_placement(params):
+    # 6200 devices come in chunks of 2048, 4096 and 56, so the ranks below
+    # straddle both Dirichlet splits of the remaining gap.
+    n, reps = 6200, 400
+    ranks = np.array([1, 2, 1000, 2047, 2048, 2049, 2050, 6143, 6144, 6145, 6199, 6200])
+    half = 0.5 * params.pathloss_exp
+    drawn = np.array([np.concatenate(list(StrongestFirst(
+        n, params.pathloss_exp, trial_rng(11, rep)).gain_chunks()))[ranks - 1]
+        for rep in range(reps)]) ** (-1.0 / half)
+    placed = np.array([make_device_set(n, params, trial_rng(12, rep)).gains[ranks - 1]
+                       for rep in range(reps)]) ** (-1.0 / half)
+    # v_(i) = (r/R)**2 of the i-th strongest device has mean i / (n + 1)
+    se = drawn.std(axis=0, ddof=1) / math.sqrt(reps)
+    assert np.all(np.abs(drawn.mean(axis=0) - ranks / (n + 1)) <= 5.0 * se)
+    # and the law of the sorted placement: two-sample Kolmogorov-Smirnov, 0.1%
+    critical = math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / reps)
+    for column in range(ranks.size):
+        assert two_sample_ks(drawn[:, column], placed[:, column]) < critical
+
+
+def test_strongest_first_chunks_double_and_descend(params):
+    source = StrongestFirst(20_000, params.pathloss_exp, trial_rng(3, 1))
+    chunks = list(source.gain_chunks())
+    assert len(source) == 20_000
+    assert [c.size for c in chunks] == [2048, 4096, 8192, 20_000 - 14_336]
+    gains = np.concatenate(chunks)
+    assert np.all(np.diff(gains) <= 0) and gains[-1] >= 1.0
+    log2_gains = np.concatenate(list(StrongestFirst(
+        20_000, params.pathloss_exp, trial_rng(3, 1)).log2_gain_chunks()))
+    assert np.allclose(log2_gains, np.log2(gains), rtol=1e-12, atol=1e-12)
+    assert list(StrongestFirst(0, 4.0, trial_rng(3, 1)).gain_chunks()) == []
+    with pytest.raises(ValueError):
+        StrongestFirst(-1, 4.0, trial_rng(3, 1))
+
+
+def test_strongest_first_draws_only_what_is_read():
+    # one chunk read: 2048 exponentials and one gamma, as a fresh stream draws
+    rng, reference = trial_rng(5, 2), trial_rng(5, 2)
+    next(iter(StrongestFirst(10 ** 9, 4.0, rng).gain_chunks()))
+    reference.standard_exponential(2048)
+    reference.standard_gamma(10 ** 9 + 1 - 2048)
+    assert rng.random() == reference.random()
 
 
 def test_sample_arrivals_zero_rate():

@@ -208,6 +208,21 @@ def test_noma_point_memory_does_not_follow_arrivals(params):
     assert (counts.served <= 1442.1950986512280 + 1.0).all()
 
 
+@pytest.mark.parametrize("scheme", ["fdma", "tdma", "noma"])
+def test_coordinated_memory_follows_the_admitted_prefix(params, scheme):
+    # 10^8 arrivals in the slot, a few 10^4 admitted: the gains are drawn
+    # strongest first and only as far as admission reads them
+    tracemalloc.start()
+    try:
+        counts = simulate_point(SchemeConfig("coordinated", scheme), params,
+                                TrafficModel(1e8), SEED, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert 1e4 < counts.served[0] < 1e5
+
+
 def test_many_partitions_resolve_collisions_by_transmitter(params):
     # 10^5 partitions: one occupancy bin each for a block would take ~51 MB;
     # the collision step counts one slot at a time instead (~0.8 MB of bins)
