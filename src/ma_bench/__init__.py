@@ -3,8 +3,8 @@ uncoordinated multiple access (TDMA / FDMA / NOMA) in cellular M2M uplinks."""
 
 from .model import (COORDINATED, FDMA, NOMA, SCHEMES, TDMA, UNCOORDINATED,
                     DeviceSet, Infeasible, StrongestFirst, SystemParams, TrafficModel,
-                    channel_gain, make_device_set, received_snr,
-                    sample_arrivals, sample_placement, trial_rng)
+                    channel_gain, make_device_set, sample_arrivals,
+                    sample_placement, trial_rng)
 from .coordinated import (CoordinatedAllocation, fdma_kmax, fdma_min_bandwidth,
                           noma_kmax, noma_power_allocation, tdma_kmax,
                           tdma_min_time)

@@ -65,6 +65,24 @@ def _log_growth_root(k: np.ndarray) -> np.ndarray:
     return t
 
 
+def _overflow_widths(gains: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Widths for gains whose limit, power term or e^t overflows, from logs:
+    t solves log((e^t - 1) / t) = c = log(limit / payload), a sum of logs,
+    and w = payload ln 2 / (slot_s t). The left side, a uniform variable's
+    cumulant function, is convex, increasing and >= t / 2, so Newton steps
+    from t = 2c descend onto the root until no lane moves. c <= 0 is inf."""
+    c = np.log(gains) + sum(map(math.log, (params.slot_s, params.ref_snr, params.bandwidth_hz))
+                            ) - math.log(params.payload_bits * _LN2)
+    t = np.where(c > 0.0, 2.0 * c, np.nan)   # NaN lanes never move
+    while True:
+        tail = -np.expm1(-t)
+        lower = t - (t + np.log(tail) - np.log(t) - c) / (1.0 / tail - 1.0 / t)
+        if not (lower < t).any():
+            break
+        t = np.fmin(lower, t)
+    return np.nan_to_num(params.payload_bits * _LN2 / params.slot_s / t, nan=np.inf)
+
+
 def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     """Smallest subchannel (Hz) carrying one packet for each gain.
 
@@ -77,6 +95,8 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     limit the shortfall is flat over ~1 / (1 - k) floats and the width is the
     root to ~1e-16 / (1 - k). Lanes with k >= 1, and lanes whose walk ends
     still short (payloads within rounding of the limit), come back as inf.
+    Lanes where the limit, the power term or e^t overflows are solved in
+    logs instead (_overflow_widths), without the walk.
     """
     g = np.asarray(gains, dtype=float)
     out = np.full(g.shape, np.inf)
@@ -95,6 +115,11 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     # short nor spare keeps its width, so each pass walks only the lanes that
     # moved on the pass before: their indices, widths, power terms and strides.
     lane, at, term, stride = np.arange(w.size), w, power_term, np.spacing(w)
+    lost = ~np.isfinite(w)   # the limit, the power term or e^t overflowed
+    if lost.any():
+        w[lost] = _overflow_widths(g[feasible][lost], params)
+        lane = np.flatnonzero(~lost)
+        at, term, stride = w[lane], power_term[lane], stride[lane]
     for _ in range(64):
         below = np.nextafter(at, 0.0)
         short = shortfall(at, term) < 0
@@ -130,10 +155,9 @@ def fdma_min_bandwidth(gain: float, params: SystemParams) -> float:
 def tdma_min_time(gain: float, params: SystemParams) -> float:
     """Smallest time share (s) for one device at full power on the full band:
     payload / (W * log2(1 + ref_snr * gain))."""
-    snr = params.ref_snr * gain
-    if snr <= 0:
+    if params.ref_snr * gain <= 0:
         raise ValueError("ref_snr * gain must be > 0")
-    return params.payload_bits * _LN2 / (params.bandwidth_hz * math.log1p(snr))
+    return float(_min_time_array(np.array([gain]), params)[0])
 
 
 def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:

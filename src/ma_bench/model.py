@@ -219,20 +219,6 @@ def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generat
     return rng.poisson(traffic.arrival_rate * slot_s, size=size)
 
 
-def received_snr(normalized_power: float, bandwidth_ratio: float,
-                 ref_snr: float, gain: float) -> float:
-    """Received SNR for a device at ``gain`` spending a fraction of its max
-    power over 1/bandwidth_ratio of the band.
-
-    bandwidth_ratio is total bandwidth over occupied bandwidth, >= 1.
-    """
-    if not 0.0 <= normalized_power <= 1.0:
-        raise ValueError("normalized_power must lie in [0, 1]")
-    if bandwidth_ratio < 1.0:
-        raise ValueError("occupied bandwidth exceeds the total band")
-    return normalized_power * bandwidth_ratio * ref_snr * gain
-
-
 def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) -> DeviceSet:
     """Sample ``count`` placements and return their gains sorted descending.
 

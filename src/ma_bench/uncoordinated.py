@@ -170,45 +170,48 @@ def noma_feasibility_probability(target_snr: float, params: SystemParams) -> flo
 
 def noma_supported(transmitting: float, target_snr: float, params: SystemParams) -> bool:
     """Whether ``transmitting`` simultaneous equal-power transmitters all
-    decode: the last cancellation stage's SINR
-    target_snr / (1 + (n - 1) * target_snr) must reach the packet SNR floor.
+    decode: the last cancellation stage's SINR target / (1 + (n - 1) target)
+    must reach snr_floor, i.e. n - 1 + 1 / target must not exceed 1 / snr_floor.
     """
-    beta = params.snr_floor
-    headroom = 1.0 - beta * (transmitting - 1.0)
-    return target_snr * headroom >= beta * (1.0 - _RATE_TOL)
+    return transmitting - 1.0 + 1.0 / target_snr <= noma_device_cap(params) * (1.0 + _RATE_TOL)
 
 
 def noma_design(params: SystemParams, traffic: TrafficModel,
                 rule: str = NOMINAL) -> UncoordinatedDesign:
     """Power-control target for the expected load, with no access thinning.
 
-    The target SNR and the share of devices that can afford it determine
-    each other, so the design point is the self-consistent expected
-    transmitter count: the unique n with
-
-        n = arrival_rate * slot_s * P(feasible | required_snr(n)).
-
-    The left side grows and the right side falls in n, so bisection applies.
+    The target 1 / (cap - A x) serves the fraction x = min(1, (ref_snr /
+    target)**(1/s)) of the A = arrival_rate * slot_s devices that can afford
+    it; s = pathloss_exp / 2, cap = noma_device_cap (+1 under the rederived
+    rule). x = 1 if ref_snr (cap - A) >= 1; else Newton steps from x = 1
+    descend onto the root of the convex, increasing h(x) = x**s +
+    ref_snr (A x - cap) until a step no longer lowers x, and the target is
+    ref_snr / x**s, free of the cancellation in cap - A x. A target beyond
+    the float range raises Infeasible.
     """
+    if rule not in SNR_RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     active = traffic.arrival_rate * params.slot_s
-    if active == 0.0:
-        return UncoordinatedDesign(NOMA, access_prob=1.0, partitions=1,
-                                   target_snr=params.snr_floor)
+    ref, s = params.ref_snr, 0.5 * params.pathloss_exp
     cap = noma_device_cap(params) + (0.0 if rule == NOMINAL else 1.0)
-    lo, hi = 0.0, cap * (1.0 - 1e-12)
-
-    def excess(n):
-        snr = noma_required_snr(n, params, rule)
-        return active * noma_feasibility_probability(snr, params) - n
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return UncoordinatedDesign(NOMA, access_prob=1.0, partitions=1,
-                               target_snr=noma_required_snr(lo, params, rule))
+    if active == 0.0:
+        target = params.snr_floor
+    elif ref * (cap - active) >= 1.0:
+        target = noma_required_snr(active, params, rule)
+    else:
+        a, b = (1.0 / ref, 1.0) if ref > 1.0 else (1.0, ref)   # h / max(1, ref_snr)
+        x = 1.0 if math.isfinite(active) else 0.0   # x <= cap / A
+        while True:
+            lower = x - (a * x ** s + b * (active * x - cap)) / (
+                a * s * x ** (s - 1.0) + b * active)
+            if not 0.0 < lower < x:
+                break
+            x = lower
+        target = ref / x ** s if x ** s else math.inf
+        if target == math.inf:
+            raise Infeasible(f"the SNR target at {active:.6g} active devices is "
+                             "beyond the float range")
+    return UncoordinatedDesign(NOMA, access_prob=1.0, partitions=1, target_snr=target)
 
 
 def uncoordinated_throughput(design: UncoordinatedDesign, params: SystemParams,

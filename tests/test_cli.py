@@ -392,6 +392,49 @@ def test_uncoordinated_summary_table(capsys):
     assert "mc_pps" in out
 
 
+def test_uncoordinated_noma_at_fifty_million_arrivals_delivers(capsys):
+    status, out, err = run(["uncoordinated", "--arrival-rate", "5e7", "--trials", "200",
+                            "--schemes", "uncoordinated-noma"], capsys)
+    assert status == 0, err
+    row = next(line.split() for line in out.splitlines()
+               if line.startswith("uncoordinated-noma"))
+    analytic, monte_carlo = float(row[7]), float(row[8])
+    assert abs(analytic - 1442.195) < 0.01
+    assert monte_carlo > 500.0   # about half the slots carry more than the cap
+
+
+def test_rederived_noma_sweep_delivers_at_saturated_rates(tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", "--schemes", "uncoordinated-noma",
+                          "--noma-snr-rule", "rederived", "--trials", "640",
+                          "--output", str(out_path)], capsys)
+    assert status == 0, err
+    rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+    analytic = [float(row[3]) for row in rows if row[0].endswith("-analytic")]
+    monte_carlo = [float(row[3]) for row in rows if not row[0].endswith("-analytic")]
+    assert len(analytic) == len(monte_carlo) == 8
+    assert analytic[0] == 1000.0
+    assert all(abs(value - 1443.19) < 0.2 for value in analytic[1:])
+    assert monte_carlo[0] > 0.0 and all(value > 500.0 for value in monte_carlo[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncoordinated", "--ref-snr", "1e300", "--arrival-rate", "1e9", "--trials", "10"],
+    ["cap", "--ref-snr", "1e300", "--arrival-rate", "1e9"],
+    ["cap", "--slot-s", "10", "--arrival-rate", "1e308"],
+    ["sweep", "--schemes", "uncoordinated-noma", "--ref-snr", "1e300",
+     "--lambda-min", "1e3", "--lambda-max", "1e9", "--lambda-steps", "2"],
+])
+def test_noma_target_beyond_the_float_range_is_one_error_line(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(tmp_path / "rows.csv")]
+    status, _, err = run(argv, capsys)
+    assert status == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "float range" in lines[0]
+    assert "Traceback" not in err
+
+
 def test_coordinated_summary_table(capsys):
     status, out, _ = run(["coordinated", "--arrival-rate", "100",
                           "--trials", "20",

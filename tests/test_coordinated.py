@@ -122,6 +122,48 @@ def test_min_bandwidth_array_marks_infeasible_lanes():
                     fdma_min_bandwidth(gain, params)
 
 
+def log_domain_delivered(width, gain, params):
+    """Bits over a subchannel whose power term a = ref_snr * W * gain is past
+    the float range: log1p(a / w) is log(a) - log(w) to far below a float."""
+    log_term = math.log(params.ref_snr) + math.log(params.bandwidth_hz) + np.log(gain)
+    return width * params.slot_s * (log_term - np.log(width)) / math.log(2.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_min_bandwidth_with_overflowing_power_term_is_finite():
+    params = SystemParams(ref_snr=1e300)
+    w = min_bandwidth_array(np.array([1e10, 2.0]), params)
+    assert np.all(np.isfinite(w)) and w[0] < w[1]
+    assert log_domain_delivered(w[0], 1e10, params) == pytest.approx(1000.0, rel=1e-12)
+    # the lane with a finite limit is solved exactly as on its own
+    assert w[1] == min_bandwidth_array(np.array([2.0]), params)[0]
+    # a power term past the float range under a finite limit (slot < ln 2)
+    short_slot = SystemParams(ref_snr=1e300, slot_s=0.5)
+    w = min_bandwidth_array(np.array([2e2]), short_slot)[0]
+    assert log_domain_delivered(w, 2e2, short_slot) == pytest.approx(1000.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("slot_s", [0.5, 1.0, 100.0])
+def test_min_bandwidth_stays_monotone_across_the_overflow_edge(slot_s):
+    params = SystemParams(slot_s=slot_s, payload_bits=1e3 * slot_s, min_slot_s=1e-3 * slot_s)
+    edge = np.finfo(float).max / (params.ref_snr * params.bandwidth_hz * max(1.0, slot_s))
+    gains = np.sort(edge * np.logspace(-3.0, 3.0, 4001))[::-1]
+    widths = min_bandwidth_array(gains, params)
+    assert np.all(np.isfinite(widths))
+    assert np.all(np.diff(widths) >= 0.0)   # weaker devices never need less
+    assert log_domain_delivered(widths, gains, params) == pytest.approx(
+        params.payload_bits, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fdma_admits_devices_with_overflowing_power_terms():
+    # gains past ~1e300 arise at large path-loss exponents; each needs ~1 Hz
+    allocation = fdma_kmax(DeviceSet([1e306, 1e300, 2.0]), SystemParams(pathloss_exp=100))
+    assert allocation.admitted == 3
+    assert np.all(np.isfinite(allocation.resources))
+
+
 def test_min_bandwidth_converged_bracket_straddles_root(params):
     # the returned width delivers the payload; one float below does not
     for gain in (1.0, 7.5, 120.0, 3e4):
@@ -186,6 +228,16 @@ def test_min_time_examples(params):
 def test_min_time_rejects_zero_snr(params):
     with pytest.raises(ValueError):
         tdma_min_time(-1.0, params)
+
+
+def test_min_time_scalar_equals_admission_path_bitwise():
+    # libm's log1p and numpy's differ in the last bit on ~2% of such gains;
+    # the scalar must give the very share tdma_kmax admits with
+    params = SystemParams(payload_bits=1e-3)   # small shares: every device fits
+    gains = np.sort(10.0 ** trial_rng(41, 0).uniform(0.0, 8.0, size=20_000))[::-1]
+    shares = tdma_kmax(DeviceSet(gains), params).resources
+    assert shares.size == gains.size
+    assert np.array_equal([tdma_min_time(float(gain), params) for gain in gains], shares)
 
 
 def test_whole_band_fdma_equals_full_slot_tdma():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ma_bench import (DeviceSet, StrongestFirst, SystemParams, TrafficModel,
-                      channel_gain, make_device_set, received_snr,
-                      sample_arrivals, sample_placement, trial_rng)
+                      channel_gain, make_device_set, sample_arrivals,
+                      sample_placement, trial_rng)
 
 
 def test_channel_gain_examples():
@@ -134,19 +134,6 @@ def test_sample_arrivals_reproducible():
     a = [sample_arrivals(TrafficModel(50.0), 1.0, trial_rng(5, i), size=20) for i in range(20)]
     b = [sample_arrivals(TrafficModel(50.0), 1.0, trial_rng(5, i), size=20) for i in range(20)]
     assert np.array_equal(a, b)
-
-
-def test_received_snr_examples():
-    assert received_snr(1.0, 1.0, 2.5, 1.0) == 2.5
-    assert received_snr(0.0, 4.0, 2.5, 100.0) == 0.0
-    assert received_snr(0.5, 2.0, 1.0, 16.0) == pytest.approx(16.0, rel=1e-12)
-
-
-def test_received_snr_domain():
-    with pytest.raises(ValueError):
-        received_snr(1.2, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        received_snr(0.5, 0.5, 1.0, 1.0)   # occupied band wider than total
 
 
 def test_device_set_invariants_from_sampling(params):

@@ -1,0 +1,15 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    assert len(printed.getvalue().splitlines()) == 3

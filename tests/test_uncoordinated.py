@@ -237,6 +237,80 @@ def test_noma_supported_boundary(params):
     assert not noma_supported(102.0, snr, params)
 
 
+def design_cap(params, rule):
+    return noma_device_cap(params) + (1.0 if rule == REDERIVED else 0.0)
+
+
+@pytest.mark.parametrize("rule", [NOMINAL, REDERIVED])
+@pytest.mark.parametrize("lam", [1.5e3, 5e3, 2e4, 1e5, 1e6, 1e8])
+def test_noma_design_matches_quadratic_at_pathloss_four(params, rule, lam):
+    # At pathloss exponent 4 the saturated fixed point x**2 + b x - c = 0,
+    # b = ref_snr * A, c = ref_snr * cap, has the stable root 2c / (b + sqrt(b^2 + 4c)).
+    active = lam * params.slot_s
+    b, c = params.ref_snr * active, params.ref_snr * design_cap(params, rule)
+    x = 2.0 * c / (b + math.sqrt(b * b + 4.0 * c))
+    target = noma_design(params, TrafficModel(lam), rule).target_snr
+    assert target == pytest.approx(params.ref_snr / x ** 2, rel=1e-12)
+
+
+def bisected_feasible_fraction(params, active, rule):
+    """Root in (0, 1] of h(x) = x**s + ref_snr (A x - cap) by float bisection."""
+    s, cap = 0.5 * params.pathloss_exp, design_cap(params, rule)
+    if params.ref_snr * (cap - active) >= 1.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** s + params.ref_snr * (active * mid - cap) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_ref_snr=st.floats(-3.0, 3.0), pathloss_exp=st.floats(2.0, 8.0, exclude_min=True),
+       log_payload=st.floats(2.0, 4.5), log_lam=st.floats(0.0, 9.0),
+       rule=st.sampled_from([NOMINAL, REDERIVED]))
+def test_noma_design_is_the_fixed_point(log_ref_snr, pathloss_exp, log_payload, log_lam, rule):
+    params = SystemParams(ref_snr=10.0 ** log_ref_snr, pathloss_exp=pathloss_exp,
+                          payload_bits=10.0 ** log_payload)
+    traffic = TrafficModel(10.0 ** log_lam)
+    design = noma_design(params, traffic, rule)
+    analysis = uncoordinated_throughput(design, params, traffic)
+    # everything that can afford the target decodes, under either rule
+    assert analysis.expected_success == analysis.expected_transmitting
+    active = traffic.arrival_rate * params.slot_s
+    assert transmit_probability(design, params) == pytest.approx(
+        bisected_feasible_fraction(params, active, rule), rel=1e-9)
+
+
+@pytest.mark.parametrize("rule", [NOMINAL, REDERIVED])
+def test_noma_delivers_the_cap_at_any_saturating_load(params, rule):
+    # the bracketed solver pinned its target near cap and delivered nothing
+    # beyond ~1e8 arrivals, and nothing at any saturated load under the
+    # rederived rule
+    for lam in (1.5e3, 3714.2857142857147, 2e4, 5e7, 1e9):
+        traffic = TrafficModel(lam)
+        delivered = uncoordinated_throughput(noma_design(params, traffic, rule),
+                                             params, traffic).expected_success
+        assert delivered == pytest.approx(design_cap(params, rule), rel=1e-3)
+
+
+def test_noma_design_beyond_the_float_range_is_infeasible():
+    # at ref_snr 1e300 and 1e9 arrivals the target is ~5e311
+    with pytest.raises(Infeasible):
+        noma_design(SystemParams(ref_snr=1e300), TrafficModel(1e9))
+    # an offered load that itself overflows
+    with pytest.raises(Infeasible):
+        noma_design(SystemParams(slot_s=10.0), TrafficModel(1e308))
+
+
+def test_noma_design_rejects_unknown_rule(params):
+    with pytest.raises(ValueError):
+        noma_design(params, TrafficModel(5000.0), "some-other-rule")
+
+
 # --- design optimization ----------------------------------------------------------
 
 def brute_force_design(scheme, params, traffic, n_max, grid_points=1001):
