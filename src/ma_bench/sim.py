@@ -31,9 +31,11 @@ from . import uncoordinated as un
 
 # Trials per substream. Fixed, so the results do not depend on the worker count.
 BLOCK_TRIALS = 64
-# Occupancy bins per bincount of the collision step: 128 KB of counts,
-# or one slot's partitions when a slot has more.
-_CHUNK_BINS = 1 << 14
+# int64 values a chunk of the collision step holds at once (96 KB), or one
+# slot's worth if more. glibc keeps 128 KB atop the heap when it trims it,
+# so every chunk reuses resident pages; larger chunks can, depending on the
+# heap layout, be trimmed off the heap and faulted back in on every chunk.
+_CHUNK_VALUES = 12288
 
 
 @dataclass(frozen=True)
@@ -122,16 +124,26 @@ def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
 
 def _alone(transmitting: np.ndarray, partitions: int,
            rng: np.random.Generator) -> np.ndarray:
-    """Per slot, the transmitters alone in the partition each picked uniformly."""
-    step = max(1, _CHUNK_BINS // partitions)
-    served = []
-    for first in range(0, transmitting.size, step):
-        chunk = transmitting[first:first + step]
-        keys = np.repeat(np.arange(0, chunk.size * partitions, partitions), chunk)
-        keys += rng.integers(0, partitions, size=keys.size)
-        occupancy = np.bincount(keys, minlength=chunk.size * partitions)
-        served.append(np.count_nonzero(occupancy.reshape(chunk.size, -1) == 1, axis=1))
-    return np.concatenate(served)
+    """Per slot, the transmitters alone in the partition each picked uniformly.
+
+    A chunk of slots holds about _CHUNK_VALUES values at once: keys and their
+    offsets, then keys and occupancy counts. The picks are one stream of
+    draws, so the chunk size does not change the result."""
+    mean = transmitting.mean()
+    step = max(1, int(_CHUNK_VALUES // (mean + max(mean, partitions))))
+    offsets = np.arange(0, min(step, transmitting.size) * partitions, partitions)
+    return np.concatenate([_alone_in_chunk(transmitting[first:first + step], offsets,
+                                           partitions, rng)
+                           for first in range(0, transmitting.size, step)])
+
+
+def _alone_in_chunk(chunk: np.ndarray, offsets: np.ndarray, partitions: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    keys = np.repeat(offsets[:chunk.size], chunk)
+    keys += rng.integers(0, partitions, size=keys.size)
+    occupancy = np.bincount(keys, minlength=chunk.size * partitions)
+    np.equal(occupancy, 1, out=occupancy)   # summing a bool mask would copy it as int64
+    return occupancy.reshape(chunk.size, -1).sum(axis=1)
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,

@@ -8,6 +8,7 @@ from ma_bench import (BLOCK_TRIALS, SystemParams, TrafficModel,
                       UncoordinatedDesign, aggregate, analytic_rows,
                       noma_design, optimize_design, resolve_design,
                       run_sweep, simulate_point, uncoordinated_throughput)
+from ma_bench import sim
 from ma_bench.sim import SchemeConfig
 from ma_bench.model import channel_gain, sample_placement, trial_rng
 from ma_bench.uncoordinated import gain_threshold, noma_supported, transmit_probability
@@ -241,6 +242,31 @@ def test_many_partitions_resolve_collisions_by_transmitter(params):
     analytic = uncoordinated_throughput(design, fine, traffic).expected_success
     se = counts.served.std(ddof=1) / math.sqrt(counts.served.size)
     assert abs(counts.served.mean() - analytic) <= 4.0 * se
+
+
+@pytest.mark.parametrize("chunk_values", [1, 700, 10**9])
+def test_collision_chunking_does_not_change_counts(monkeypatch, chunk_values):
+    # one slot per chunk, a few slots, the whole block: the same picks
+    transmitting = np.array([0, 3, 950, 1, 0, 4000, 17, 1000] * 8)
+    expected = sim._alone(transmitting, 1000, np.random.default_rng(SEED))
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
+    assert np.array_equal(sim._alone(transmitting, 1000, np.random.default_rng(SEED)),
+                          expected)
+
+
+def test_collision_step_memory_is_bounded_per_chunk(params):
+    # ~1000 transmitters in each of 1000 partitions per slot: a block's keys
+    # and counts would take ~1 MB; a chunk holds 96 KB of them at once
+    traffic = TrafficModel(10000.0)
+    config = resolve_design(SchemeConfig("uncoordinated", "fdma"), params, traffic)
+    assert config.design.partitions == 1000
+    tracemalloc.start()
+    try:
+        simulate_point(config, params, traffic, SEED, 0, 2 * BLOCK_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sim._CHUNK_VALUES + 32_000
 
 
 def test_binomial_thinning_matches_placement_geometry():
