@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +35,7 @@ SEED_ENV_VAR = "MA_BENCH_SEED"
 DEFAULT_SEED = 42
 
 CSV_HEADER = "scheme,lambda,trials,mean_throughput_pps,ci95_halfwidth,seed,params_digest"
+_ROW_VALUES = attrgetter(*(f.name for f in fields(sim.SweepRow)))   # CSV column order
 
 
 class ConfigError(ValueError):
@@ -181,20 +183,12 @@ def _format_value(value) -> str:
 
 
 def emit_csv(rows: list[sim.SweepRow], path: str) -> None:
-    """Write sweep rows as CSV; byte-identical output for identical rows."""
+    """Write sweep rows as CSV, one column per SweepRow field in field order;
+    byte-identical output for identical rows."""
     if not rows:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join((
-            row.scheme,
-            _format_value(row.lam),
-            str(row.trials),
-            _format_value(row.mean_throughput_pps),
-            _format_value(row.ci95_halfwidth),
-            str(row.seed),
-            row.params_digest,
-        )))
+    lines.extend(",".join(map(_format_value, _ROW_VALUES(row))) for row in rows)
     payload = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="") as handle:
@@ -245,28 +239,28 @@ def _cmd_coordinated(config: RunConfig, arrival_rate: float) -> int:
         raise ConfigError("coordinated schemes have no closed form; "
                           "use mode=montecarlo or mode=both")
     traffic = TrafficModel(arrival_rate)
-    print(f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
-          f"seed={config.master_seed}  enforce_minimum={config.enforce_minimum}")
-    print(f"{'scheme':<20} {'mean_served':>12} {'throughput_pps':>15} {'ci95':>10}")
+    lines = [f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
+             f"seed={config.master_seed}  enforce_minimum={config.enforce_minimum}",
+             f"{'scheme':<20} {'mean_served':>12} {'throughput_pps':>15} {'ci95':>10}"]
     for scheme_config in _scheme_configs(config, COORDINATED):
         counts = sim.simulate_point(scheme_config, config.params, traffic,
                                     config.master_seed, 0, config.trials)
         stats = sim.aggregate(counts.served, config.params)
-        print(f"{scheme_config.tag:<20} {stats.mean_served:>12.3f} "
-              f"{stats.mean_throughput_pps:>15.3f} {stats.ci95_halfwidth_pps:>10.3f}")
+        lines.append(f"{scheme_config.tag:<20} {stats.mean_served:>12.3f} "
+                     f"{stats.mean_throughput_pps:>15.3f} {stats.ci95_halfwidth_pps:>10.3f}")
+    print("\n".join(lines))   # only once all succeeded: no partial table
     return 0
 
 
 def _cmd_uncoordinated(config: RunConfig, arrival_rate: float) -> int:
     traffic = TrafficModel(arrival_rate)
     with_mc = config.mode in ("montecarlo", "both")
-    print(f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
-          f"seed={config.master_seed}")
     header = (f"{'scheme':<20} {'access_p':>9} {'parts':>6} {'target_snr':>12} "
               f"{'E[active]':>10} {'E[tx]':>10} {'P_coll':>8} {'analytic_pps':>13}")
     if with_mc:
         header += f" {'mc_pps':>10} {'mc_ci95':>9}"
-    print(header)
+    lines = [f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
+             f"seed={config.master_seed}", header]
     for scheme_config in _scheme_configs(config, UNCOORDINATED):
         concrete = sim.resolve_design(scheme_config, config.params, traffic)
         design = concrete.design
@@ -284,23 +278,25 @@ def _cmd_uncoordinated(config: RunConfig, arrival_rate: float) -> int:
             stats = sim.aggregate(counts.served, config.params)
             line += (f" {stats.mean_throughput_pps:>10.3f} "
                      f"{stats.ci95_halfwidth_pps:>9.3f}")
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_cap(config: RunConfig, arrival_rate: float) -> int:
     params = config.params
     traffic = TrafficModel(arrival_rate)
-    print(f"noma_device_cap={_format_value(un.noma_device_cap(params))}")
     design = un.noma_design(params, traffic, config.noma_snr_rule)
-    print(f"noma_target_snr={_format_value(design.target_snr)}")
+    lines = [f"noma_device_cap={_format_value(un.noma_device_cap(params))}",
+             f"noma_target_snr={_format_value(design.target_snr)}"]
     for scheme in (FDMA, TDMA):
         best = un.optimize_design(scheme, params, traffic)
         analysis = un.uncoordinated_throughput(best, params, traffic)
-        print(f"{scheme}_access_prob={_format_value(best.access_prob)}")
-        print(f"{scheme}_partitions={best.partitions}")
-        print(f"{scheme}_expected_success_pps="
-              f"{_format_value(analysis.expected_success / params.slot_s)}")
+        lines += [f"{scheme}_access_prob={_format_value(best.access_prob)}",
+                  f"{scheme}_partitions={best.partitions}",
+                  f"{scheme}_expected_success_pps="
+                  f"{_format_value(analysis.expected_success / params.slot_s)}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -353,8 +349,6 @@ def main(argv=None) -> int:
             return _cmd_sweep(config)
         rate = config.lambda_min if args.arrival_rate is None else _flag_value(
             "arrival_rate", _PARSE_BY_TYPE["float"], args.arrival_rate)
-        if rate < 0:
-            raise ConfigError("arrival rate must be >= 0")
         if args.command == "coordinated":
             return _cmd_coordinated(config, rate)
         if args.command == "uncoordinated":

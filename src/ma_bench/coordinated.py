@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst, SystemParams
+from .model import (FDMA, FIRST_CHUNK, NOMA, TDMA, DeviceSet, Infeasible,
+                    StrongestFirst, SystemParams)
 
 _LN2 = math.log(2.0)
 
@@ -28,11 +29,6 @@ _LN2 = math.log(2.0)
 # sums accumulate rounding; compare against the budget with this relative
 # slack so exactly-filling allocations are admitted.
 _BUDGET_TOL = 1e-9
-
-# Devices per demand evaluation: bounds the FDMA solver's temporaries, and the
-# lanes it solves past the first device that does not fit, to this many. It is
-# StrongestFirst's first chunk, so every chunk splits into whole slices.
-_DEMAND_SLICE = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,26 +96,29 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     """
     g = np.asarray(gains, dtype=float)
     out = np.full(g.shape, np.inf)
-    limit = _deliverable_bits_limit(g, params)
-    feasible = params.payload_bits < limit
-    if not feasible.any():
-        return out
-    power_term = params.ref_snr * params.bandwidth_hz * g[feasible]
+    # Overflowing lanes are expected here and solved in logs: no warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        limit = _deliverable_bits_limit(g, params)
+        feasible = params.payload_bits < limit
+        if not feasible.any():
+            return out
+        power_term = params.ref_snr * params.bandwidth_hz * g[feasible]
+        k = params.payload_bits / limit[feasible]
+        w = power_term * k / _log_growth_root(k)
+        # Falling short: gallop up; else step down to the edge. A lane neither
+        # short nor spare keeps its width, so each pass walks only the lanes
+        # that moved on the pass before: their indices, widths, power terms
+        # and strides.
+        lane, at, term, stride = np.arange(w.size), w, power_term, np.spacing(w)
+        lost = ~np.isfinite(w)   # the limit, the power term or e^t overflowed
+        if lost.any():
+            w[lost] = _overflow_widths(g[feasible][lost], params)
+            lane = np.flatnonzero(~lost)
+            at, term, stride = w[lane], power_term[lane], stride[lane]
 
     def shortfall(w, term):
         return w * params.slot_s * np.log1p(term / w) / _LN2 - params.payload_bits
 
-    k = params.payload_bits / limit[feasible]
-    w = power_term * k / _log_growth_root(k)
-    # Falling short: gallop up; else step down to the edge. A lane neither
-    # short nor spare keeps its width, so each pass walks only the lanes that
-    # moved on the pass before: their indices, widths, power terms and strides.
-    lane, at, term, stride = np.arange(w.size), w, power_term, np.spacing(w)
-    lost = ~np.isfinite(w)   # the limit, the power term or e^t overflowed
-    if lost.any():
-        w[lost] = _overflow_widths(g[feasible][lost], params)
-        lane = np.flatnonzero(~lost)
-        at, term, stride = w[lane], power_term[lane], stride[lane]
     for _ in range(64):
         below = np.nextafter(at, 0.0)
         short = shortfall(at, term) < 0
@@ -179,8 +178,10 @@ def _greedy_admit(gain_chunks, params: SystemParams, budget: float,
     resources = []
     used = 0.0
     limit = budget * (1.0 + _BUDGET_TOL)
-    parts = (chunk[start:start + _DEMAND_SLICE]
-             for chunk in gain_chunks for start in range(0, chunk.size, _DEMAND_SLICE))
+    # FIRST_CHUNK devices per demand evaluation bounds the FDMA solver's
+    # temporaries, and the lanes it solves past the first misfit, to that many.
+    parts = (chunk[start:start + FIRST_CHUNK]
+             for chunk in gain_chunks for start in range(0, chunk.size, FIRST_CHUNK))
     for part in parts:
         demand = per_device(part, params)
         if minimum > 0.0:

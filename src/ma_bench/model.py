@@ -130,11 +130,16 @@ class DeviceSet:
 # spacing gives the strongest gain a placement can have rather than inf.
 _NEAREST = 2.0 ** -53
 
+# Devices in StrongestFirst's first chunk; each later chunk doubles. The
+# admission kernels evaluate demands in slices of this size, so every chunk
+# splits into whole slices.
+FIRST_CHUNK = 2048
+
 
 class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
-    first in chunks of 2048, 4096, ... devices as a reader asks for them, so
-    a reader that stops early never draws the rest.
+    first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
+    for them, so a reader that stops early never draws the rest.
 
     The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
     their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
@@ -159,7 +164,7 @@ class StrongestFirst:
 
     def _placements(self):
         """Chunks of the ascending v_(i)."""
-        done, below, gap, size = 0, 0.0, 1.0, 2048
+        done, below, gap, size = 0, 0.0, 1.0, FIRST_CHUNK
         while done < self.count:
             size = min(size, self.count - done)
             v = self._rng.standard_exponential(size)

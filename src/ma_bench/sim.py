@@ -220,7 +220,9 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     blocks = range(-(-trials // BLOCK_TRIALS))
     step = -(-len(blocks) // workers)
     shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
+    # A pool starts all its processes at once: never more than there are shares.
+    pool = ProcessPoolExecutor(min(workers, len(shares))) if workers > 1 else nullcontext()
+    with pool as executor:
         for index, lam in enumerate(grid):
             traffic = TrafficModel(lam)
             concrete = resolve_design(config, params, traffic)

@@ -71,11 +71,13 @@ class UncoordinatedAnalysis:
 
 
 def _log_gain_threshold(scheme: str, partitions, params: SystemParams):
-    """Natural log of ``gain_threshold``, for one partition count or an array.
+    """Natural log of the smallest channel gain at which full power covers one
+    of N = ``partitions`` equal shares, for one N or an array.
 
-    The SNR a partition needs, 2**(spectral_load * N) - 1, is e**y (1 - e**-y)
-    with y = spectral_load * N * ln 2, so its log y + log(-expm1(-y)) stays
-    finite where the power itself overflows.
+    The share needs 2**(spectral_load * N) - 1 received SNR; splitting the
+    band (FDMA) concentrates the transmit power by N, splitting time (TDMA)
+    does not. That SNR is e**y (1 - e**-y) with y = spectral_load * N * ln 2,
+    so its log y + log(-expm1(-y)) stays finite where the power overflows.
     """
     y = params.spectral_load * partitions * _LN2
     log_need = y + np.log(-np.expm1(-y))
@@ -84,23 +86,6 @@ def _log_gain_threshold(scheme: str, partitions, params: SystemParams):
     if scheme == TDMA:
         return log_need - math.log(params.ref_snr)
     raise ValueError(f"gain threshold undefined for scheme {scheme!r}")
-
-
-def gain_threshold(scheme: str, partitions: int, params: SystemParams) -> float:
-    """Smallest channel gain at which full power covers one partition's rate.
-
-    A device holding one of ``partitions`` equal shares must clear
-    2**(spectral_load * partitions) - 1 received SNR; splitting the band
-    (FDMA) concentrates the transmit power by the same factor, splitting
-    time (TDMA) does not. A threshold beyond the float range is ``inf``.
-    """
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    log_threshold = _log_gain_threshold(scheme, partitions, params)
-    try:
-        return math.exp(log_threshold)
-    except OverflowError:
-        return math.inf
 
 
 def _gain_tail_probability(log_threshold, pathloss_exp: float):
@@ -119,17 +104,18 @@ def transmit_probability(design: UncoordinatedDesign, params: SystemParams) -> f
         _log_gain_threshold(design.scheme, design.partitions, params), params.pathloss_exp))
 
 
-def collision_probability(expected_transmitting: float, partitions: int) -> float:
+def collision_probability(expected_transmitting, partitions):
     """Probability a transmitter shares its partition with at least one other.
 
     1 - (1 - 1/partitions)**(expected_transmitting - 1), with the exponent
     clamped at zero: below one expected transmitter there is nobody to
-    collide with.
+    collide with. Elementwise over arrays; a float for scalars.
     """
-    if partitions < 1:
+    if np.asarray(partitions).min() < 1:
         raise ValueError("partitions must be >= 1")
-    exponent = max(expected_transmitting, 1.0) - 1.0
-    return 1.0 - (1.0 - 1.0 / partitions) ** exponent
+    exponent = np.maximum(expected_transmitting, 1.0) - 1.0
+    collision = 1.0 - (1.0 - 1.0 / partitions) ** exponent
+    return collision if collision.ndim else float(collision)
 
 
 def noma_device_cap(params: SystemParams) -> float:
@@ -267,8 +253,7 @@ def optimize_design(scheme: str, params: SystemParams,
         if start == 1:
             peak[0] = 1.0
         load = np.minimum(feasible, peak)
-        # the expected success uncoordinated_throughput reports at this load
-        success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
+        success = load * (1.0 - collision_probability(load, n))
         i = int(np.argmax(success))
         if success[i] > best_success:   # first maximum over all chunks
             best, best_success = start + i, float(success[i])

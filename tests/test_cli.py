@@ -161,6 +161,25 @@ def test_bad_arrival_rate_is_one_error_line(command, value, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cap", "--slot-s", "10", "--arrival-rate", "1e308"],         # noma_design fails
+    ["uncoordinated", "--arrival-rate", "1e300", "--trials", "3"],  # Poisson draw fails
+    ["coordinated", "--arrival-rate", "1e19", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_failing_single_rate_command_prints_nothing_on_stdout(argv, capsys):
+    status, out, err = run(argv, capsys)
+    assert status == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_negative_arrival_rate_reports_the_traffic_model_domain(capsys):
+    status, out, err = run(["cap", "--arrival-rate", "-1"], capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: arrival_rate must be finite and >= 0, got -1.0\n"
+
+
 def test_run_config_validates_when_built_directly():
     for bad in (dict(mode="quick"), dict(noma_snr_rule="bogus"), dict(lambda_min=-1.0),
                 dict(lambda_min=30000.0), dict(lambda_steps=0),

@@ -129,7 +129,6 @@ def log_domain_delivered(width, gain, params):
     return width * params.slot_s * (log_term - np.log(width)) / math.log(2.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_min_bandwidth_with_overflowing_power_term_is_finite():
     params = SystemParams(ref_snr=1e300)
     w = min_bandwidth_array(np.array([1e10, 2.0]), params)
@@ -143,7 +142,6 @@ def test_min_bandwidth_with_overflowing_power_term_is_finite():
     assert log_domain_delivered(w, 2e2, short_slot) == pytest.approx(1000.0, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("slot_s", [0.5, 1.0, 100.0])
 def test_min_bandwidth_stays_monotone_across_the_overflow_edge(slot_s):
     params = SystemParams(slot_s=slot_s, payload_bits=1e3 * slot_s, min_slot_s=1e-3 * slot_s)
@@ -156,7 +154,6 @@ def test_min_bandwidth_stays_monotone_across_the_overflow_edge(slot_s):
         params.payload_bits, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fdma_admits_devices_with_overflowing_power_terms():
     # gains past ~1e300 arise at large path-loss exponents; each needs ~1 Hz
     allocation = fdma_kmax(DeviceSet([1e306, 1e300, 2.0]), SystemParams(pathloss_exp=100))

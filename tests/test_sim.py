@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma_bench import (BLOCK_TRIALS, SystemParams, TrafficModel,
                       UncoordinatedDesign, aggregate, analytic_rows,
@@ -11,7 +12,7 @@ from ma_bench import (BLOCK_TRIALS, SystemParams, TrafficModel,
 from ma_bench import sim
 from ma_bench.sim import SchemeConfig
 from ma_bench.model import channel_gain, sample_placement, trial_rng
-from ma_bench.uncoordinated import gain_threshold, noma_supported, transmit_probability
+from ma_bench.uncoordinated import noma_supported, transmit_probability
 
 SEED = 42
 
@@ -63,15 +64,23 @@ def test_trials_are_reproducible(params):
     assert np.array_equal(d.served[:BLOCK_TRIALS], a.served[:BLOCK_TRIALS])
 
 
-def test_served_bounded_by_arrivals_and_partitions(params):
-    design = UncoordinatedDesign("tdma", 0.8, 25)
-    traffic = TrafficModel(300.0)
-    counts = simulate_point(SchemeConfig("uncoordinated", "tdma", design=design),
-                            params, traffic, SEED, 0, 200)
-    assert counts.served.shape == counts.arrivals.shape == (200,)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scheme=st.sampled_from(["fdma", "tdma"]), access_prob=st.floats(0.0, 1.0),
+       partitions=st.integers(1, 2000), lam=st.floats(0.0, 3e4))
+def test_served_bounded_by_arrivals_and_partitions(scheme, access_prob, partitions, lam):
+    params = SystemParams()
+    design = UncoordinatedDesign(scheme, access_prob, partitions)
+    traffic = TrafficModel(lam)
+    counts = simulate_point(SchemeConfig("uncoordinated", scheme, design=design),
+                            params, traffic, SEED, 0, 70)
+    assert counts.served.shape == counts.arrivals.shape == (70,)
     assert (counts.served >= 0).all()
     assert (counts.served <= np.minimum(counts.arrivals, design.partitions)).all()
-    counts = simulate_point(SchemeConfig("coordinated", "tdma"), params, traffic, SEED, 0, 50)
+
+
+def test_coordinated_served_bounded_by_arrivals(params):
+    counts = simulate_point(SchemeConfig("coordinated", "tdma"), params, TrafficModel(300.0),
+                            SEED, 0, 50)
     assert ((0 <= counts.served) & (counts.served <= counts.arrivals)).all()
 
 
@@ -115,6 +124,32 @@ def test_sweep_workers_do_not_change_results(params):
             for workers in (2, 3, 4):
                 assert run_sweep(config, params, [100.0, 400.0], trials, SEED,
                                  workers=workers) == serial
+
+
+def test_sweep_pool_holds_no_more_processes_than_shares(params, monkeypatch):
+    # a pool forks all its processes at once; this one records its size and
+    # runs the shares in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    config = SchemeConfig("uncoordinated", "tdma")
+    for trials, workers, size in ((100, 8, 2), (1, 2, 1), (5 * BLOCK_TRIALS, 3, 3)):
+        serial = run_sweep(config, params, [100.0], trials, SEED)
+        assert run_sweep(config, params, [100.0], trials, SEED, workers=workers) == serial
+        assert sizes.pop() == size and not sizes
 
 
 def test_sweep_validates_inputs(params):
@@ -276,8 +311,12 @@ def test_binomial_thinning_matches_placement_geometry():
     # match that probability within 5 standard errors.
     params = SystemParams(payload_bits=5000.0, ref_snr=0.1, pathloss_exp=3.5)
     noma = noma_design(params, TrafficModel(1000.0))
-    cases = [(UncoordinatedDesign("fdma", 1.0, 2000), gain_threshold("fdma", 2000, params)),
-             (UncoordinatedDesign("tdma", 1.0, 60), gain_threshold("tdma", 60, params)),
+    # the gain thresholds (2**(spectral_load * N) - 1) / (N ref_snr) (fdma), the
+    # same without the N (tdma) and target_snr / ref_snr (noma)
+    cases = [(UncoordinatedDesign("fdma", 1.0, 2000),
+              (2.0 ** (params.spectral_load * 2000) - 1.0) / (2000 * params.ref_snr)),
+             (UncoordinatedDesign("tdma", 1.0, 60),
+              (2.0 ** (params.spectral_load * 60) - 1.0) / params.ref_snr),
              (noma, noma.target_snr / params.ref_snr)]
     gains = channel_gain(sample_placement(2_000_000, trial_rng(SEED, 7)), params.pathloss_exp)
     for design, bar in cases:

@@ -14,7 +14,7 @@ from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       optimize_design, transmit_probability,
                       uncoordinated_throughput, trial_rng)
 from ma_bench.uncoordinated import (_gain_tail_probability, _log_gain_threshold,
-                                    gain_threshold, max_partitions, noma_supported)
+                                    max_partitions, noma_supported)
 
 # Frozen from a 50-digit evaluation of the closed forms.
 CAP_DEFAULT_PARAMS = 1442.1950986512280          # 1 / (2**0.001 - 1)
@@ -63,27 +63,33 @@ def test_tdma_tx_probability_boundary_and_monotonicity(params):
 
 
 def test_gain_threshold_shapes(params):
-    # splitting the band concentrates power, splitting time does not
-    assert gain_threshold("fdma", 2000, params) < gain_threshold("tdma", 2000, params)
+    # splitting the band concentrates power, splitting time does not: at 2000
+    # partitions the FDMA threshold is 3 / 2000 (every device), TDMA's 3
+    fdma = transmit_probability(UncoordinatedDesign("fdma", 1.0, 2000), params)
+    tdma = transmit_probability(UncoordinatedDesign("tdma", 1.0, 2000), params)
+    assert fdma == 1.0 and tdma == pytest.approx(3.0 ** -0.5, rel=1e-13)
     with pytest.raises(ValueError):
-        gain_threshold("noma", 10, params)
+        _log_gain_threshold("noma", 10, params)
 
 
 def test_gain_threshold_matches_direct_form():
-    params = SystemParams(payload_bits=3e4, ref_snr=0.2)
-    for n in (1, 2, 7, 100, 1000):
+    # P(gain >= t) = t**(-2 / pathloss_exp) for the thresholds t below, all > 1
+    for pathloss_exp, n in itertools.product((2.5, 4.0, 6.0), (1, 2, 7, 100, 1000)):
+        params = SystemParams(payload_bits=3e4, ref_snr=1e-4, pathloss_exp=pathloss_exp)
         need = 2.0 ** (params.spectral_load * n) - 1.0
-        assert gain_threshold("fdma", n, params) == pytest.approx(
-            need / (n * params.ref_snr), rel=1e-13)
-        assert gain_threshold("tdma", n, params) == pytest.approx(
-            need / params.ref_snr, rel=1e-13)
+        for scheme, threshold in (("fdma", need / (n * params.ref_snr)),
+                                  ("tdma", need / params.ref_snr)):
+            assert threshold > 1.0
+            assert transmit_probability(UncoordinatedDesign(scheme, 1.0, n), params) == \
+                pytest.approx(threshold ** (-2.0 / pathloss_exp), rel=1e-13)
 
 
 def test_threshold_beyond_float_range_is_inf_and_tail_stays_finite():
     # 2 bits/s/Hz: 2**(2 * 600) overflows a float, its log does not
     params = SystemParams(payload_bits=2e6, min_subchannel_hz=1.0, min_slot_s=1e-6)
-    assert gain_threshold("tdma", 600, params) == math.inf
-    assert gain_threshold("fdma", 10**6, params) == math.inf
+    for scheme, n in (("tdma", 600), ("fdma", 10**6)):
+        log_threshold = _log_gain_threshold(scheme, n, params)
+        assert np.log(np.finfo(float).max) < log_threshold < math.inf
     tail = transmit_probability(UncoordinatedDesign("tdma", 1.0, 600), params)
     assert tail == pytest.approx(2.0 ** -600, rel=1e-12)     # (2**1200)**(-1/2)
     assert transmit_probability(UncoordinatedDesign("fdma", 1.0, 10**6), params) == 0.0
@@ -111,6 +117,18 @@ def test_collision_probability_matches_enumeration(transmitters, partitions):
     got = collision_probability(float(transmitters), partitions)
     assert got == pytest.approx(float(exact_collision_probability(
         transmitters, partitions)), abs=1e-12)
+
+
+def test_collision_probability_is_elementwise_and_scalars_stay_floats():
+    load = np.array([0.3, 1.0, 2.0, 150.0, 999.5, 2e4])
+    partitions = np.array([50, 1000, 1, 100, 1000, 3])
+    got = collision_probability(load, partitions)
+    scalars = [collision_probability(float(m), int(n)) for m, n in zip(load, partitions)]
+    assert all(type(value) is float for value in scalars)   # emit_csv writes repr
+    # numpy's vectorized pow may differ from libm's by an ulp
+    assert got == pytest.approx(scalars, rel=0, abs=1e-15)
+    with pytest.raises(ValueError):
+        collision_probability(load, np.array([5, 0, 1, 1, 1, 1]))
 
 
 def test_collision_probability_monotone():
