@@ -5,8 +5,9 @@ from .model import (COORDINATED, FDMA, NOMA, SCHEMES, TDMA, UNCOORDINATED,
                     DeviceSet, Infeasible, StrongestFirst, SystemParams, TrafficModel,
                     channel_gain, make_device_set, sample_arrivals,
                     sample_placement, trial_rng)
-from .coordinated import (CoordinatedAllocation, fdma_kmax, fdma_min_bandwidth,
-                          noma_kmax, noma_power_allocation, tdma_kmax,
+from .coordinated import (CoordinatedAllocation, fdma_admitted_count, fdma_kmax,
+                          fdma_min_bandwidth, noma_admitted_count, noma_kmax,
+                          noma_power_allocation, tdma_admitted_count, tdma_kmax,
                           tdma_min_time)
 from .uncoordinated import (NOMINAL, REDERIVED, UncoordinatedAnalysis,
                             UncoordinatedDesign, collision_probability,

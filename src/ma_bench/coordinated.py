@@ -7,16 +7,19 @@ its packet, TDMA the smallest time share, and superposition (NOMA) stacks
 all devices on the full band with the minimal power staircase that keeps
 every successive-cancellation stage decodable. Devices are admitted
 strongest gain first, since weaker devices always need more resource, and
-each kernel stops at the first device that does not fit. The kernels read
-the gains in chunks (``gain_chunks()`` or ``log2_gain_chunks()`` of a
-DeviceSet, one chunk, or of a StrongestFirst, drawn as read), so a chunked
-source is drawn only as far as the admitted prefix.
+each kernel stops at the first device that does not fit, or as soon as no
+unread device can change the count: every gain is >= 1, so a cell-edge
+device needs the most. The count kernels read the gains in chunks
+(``gain_chunks()`` or ``log2_gain_chunks()`` of a DeviceSet, one chunk, or of
+a StrongestFirst, drawn as read), so a chunked source computes gains only as
+far as the kernel reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,58 +167,98 @@ def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
         params.bandwidth_hz * np.log1p(params.ref_snr * np.asarray(gains, dtype=float)))
 
 
-def _greedy_admit(gain_chunks, params: SystemParams, budget: float,
-                  minimum: float, per_device):
-    """Admit strongest-first while the running resource sum fits the budget.
+@lru_cache(maxsize=64)
+def _edge_demand(per_device, params: SystemParams, minimum: float) -> float:
+    """Demand of a cell-edge device (gain 1), padded up to ``minimum``."""
+    return max(float(per_device(np.ones(1), params)[0]), minimum)
+
+
+def _admitted_count(devices, params: SystemParams, budget: float,
+                    minimum: float, per_device) -> int:
+    """Strongest-first count of devices whose running resource sum fits the
+    budget.
 
     ``per_device`` maps a gain chunk to its resource demand (nondecreasing as
     gains fall, so the first device that does not fit ends the admission and
     no later chunk is read). Demands below ``minimum`` are padded up to it.
     The running sum is one sequence of additions across chunks, so the count
-    does not depend on where the chunks split. Returns the admitted devices'
-    resources.
+    does not depend on where the chunks split.
+
+    Every gain is >= 1, so no unread device needs more than the cell-edge
+    demand. Once the m unread devices fit at that demand, all n do: the rest
+    is not solved, and a StrongestFirst source only makes the draws it would
+    have made (drain), so its generator ends where a full read leaves it.
     """
-    resources = []
-    used = 0.0
+    n = len(devices)
     limit = budget * (1.0 + _BUDGET_TOL)
+    # The solver's width may rise by an ulp as the gain grows; the factor
+    # 1 + 2**-50 covers it, so no unread demand exceeds edge. With u = 2**-53,
+    # m more rounded additions end at most at (used + m edge)(1 + u)**m
+    # <= (used + m edge)(1 + m u + (m u)**2); the test's four roundings lose
+    # at most a factor (1 - u)**4, and (1 + 2 (m + 2) u)(1 - u)**4 covers both
+    # for 1 <= m <= 2**52. Running sums only grow, so every prefix then fits.
+    # An inf edge never passes.
+    edge = _edge_demand(per_device, params, minimum) * (1.0 + 2.0 ** -50)
+    used, done = 0.0, 0
     # FIRST_CHUNK devices per demand evaluation bounds the FDMA solver's
     # temporaries, and the lanes it solves past the first misfit, to that many.
     parts = (chunk[start:start + FIRST_CHUNK]
-             for chunk in gain_chunks for start in range(0, chunk.size, FIRST_CHUNK))
-    for part in parts:
-        demand = per_device(part, params)
+             for chunk in devices.gain_chunks() for start in range(0, chunk.size, FIRST_CHUNK))
+    while done < n:
+        unread = n - done
+        if (used + unread * edge) * (1.0 + (unread + 2) * 2.0 ** -52) <= limit:
+            devices.drain()
+            return n
+        demand = per_device(next(parts), params)
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
         running = np.concatenate(([used], demand))
         running.cumsum(out=running)
         fit = int(running[1:].searchsorted(limit, side="right"))
-        resources.append(demand[:fit])
         if fit < demand.size:
-            break
-        used = float(running[-1])
-    return np.concatenate(resources) if resources else np.empty(0)
+            return done + fit
+        used, done = float(running[-1]), done + demand.size
+    return n
 
 
-def fdma_kmax(devices: DeviceSet | StrongestFirst, params: SystemParams,
-              enforce_minimum: bool = False) -> CoordinatedAllocation:
-    """Largest device prefix whose minimal subchannels fit in the band.
+def fdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,
+                        enforce_minimum: bool = False) -> int:
+    """Length of the longest device prefix whose minimal subchannels fit in
+    the band.
 
     With enforce_minimum, every subchannel is padded up to
     min_subchannel_hz, which also caps the count at
     bandwidth_hz / min_subchannel_hz."""
     minimum = params.min_subchannel_hz if enforce_minimum else 0.0
-    resources = _greedy_admit(
-        devices.gain_chunks(), params, params.bandwidth_hz, minimum, min_bandwidth_array)
-    return CoordinatedAllocation(FDMA, resources.size, resources)
+    return _admitted_count(devices, params, params.bandwidth_hz, minimum, min_bandwidth_array)
 
 
-def tdma_kmax(devices: DeviceSet | StrongestFirst, params: SystemParams,
-              enforce_minimum: bool = False) -> CoordinatedAllocation:
-    """Largest device prefix whose minimal time shares fit in the slot."""
+def tdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,
+                        enforce_minimum: bool = False) -> int:
+    """Length of the longest device prefix whose minimal time shares fit in
+    the slot (each padded up to min_slot_s with enforce_minimum)."""
     minimum = params.min_slot_s if enforce_minimum else 0.0
-    resources = _greedy_admit(
-        devices.gain_chunks(), params, params.slot_s, minimum, _min_time_array)
-    return CoordinatedAllocation(TDMA, resources.size, resources)
+    return _admitted_count(devices, params, params.slot_s, minimum, _min_time_array)
+
+
+def fdma_kmax(devices: DeviceSet, params: SystemParams,
+              enforce_minimum: bool = False) -> CoordinatedAllocation:
+    """fdma_admitted_count and the admitted devices' subchannels (Hz)."""
+    count = fdma_admitted_count(devices, params, enforce_minimum)
+    widths = min_bandwidth_array(devices.gains[:count], params)
+    if enforce_minimum:
+        widths = np.maximum(widths, params.min_subchannel_hz)
+    return CoordinatedAllocation(FDMA, count, widths)
+
+
+def tdma_kmax(devices: DeviceSet, params: SystemParams,
+              enforce_minimum: bool = False) -> CoordinatedAllocation:
+    """tdma_admitted_count and the admitted devices' time shares (s)."""
+    count = tdma_admitted_count(devices, params, enforce_minimum)
+    shares = _min_time_array(devices.gains[:count], params)
+    if enforce_minimum:
+        shares = np.maximum(shares, params.min_slot_s)
+    return CoordinatedAllocation(TDMA, count, shares)
 
 
 def noma_power_allocation(devices: DeviceSet, params: SystemParams) -> np.ndarray:

@@ -125,6 +125,9 @@ class DeviceSet:
         """log2 of the gains as one chunk."""
         return (np.log2(self.gains),)
 
+    def drain(self):
+        """Nothing is drawn as it is read: nothing to drain."""
+
 
 # Smallest squared distance a placement takes: that of 1 - random(), so a zero
 # spacing gives the strongest gain a placement can have rather than inf.
@@ -158,25 +161,36 @@ class StrongestFirst:
         self.count = count
         self._half_exp = 0.5 * pathloss_exp
         self._rng = rng
+        self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
 
     def __len__(self) -> int:
         return self.count
 
+    def _next_size(self) -> int:
+        """Size of the next chunk; counts it as drawn."""
+        done = self._drawn
+        size = min(self._size, self.count - done)
+        self._drawn, self._size = done + size, 2 * size
+        return size
+
     def _placements(self):
         """Chunks of the ascending v_(i)."""
-        done, below, gap, size = 0, 0.0, 1.0, FIRST_CHUNK
-        while done < self.count:
-            size = min(size, self.count - done)
+        below, gap = 0.0, 1.0
+        while self._drawn < self.count:
+            size = self._next_size()
             v = self._rng.standard_exponential(size)
             v.cumsum(out=v)
-            rest = self._rng.standard_gamma(self.count + 1 - done - size)
+            rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
             scale = gap / (v[-1] + rest)
             v *= scale
             v += below
             below, gap = v[-1], scale * rest
-            done += size
-            size *= 2
-            yield v.clip(_NEAREST, 1.0, out=v)
+            # v ascends, so only its ends can leave [_NEAREST, 1]
+            if v[0] < _NEAREST:
+                np.maximum(v, _NEAREST, out=v)
+            if v[-1] > 1.0:
+                np.minimum(v, 1.0, out=v)
+            yield v
 
     # Both map each chunk in place: a suspended reader holds one array.
     def gain_chunks(self):
@@ -189,6 +203,18 @@ class StrongestFirst:
             np.log2(v, out=v)
             v *= -self._half_exp
             yield v
+
+    def drain(self):
+        """Make the draws of every chunk not yet read, without the arithmetic,
+        so ``rng`` ends where reading every chunk would leave it. A generator
+        fills an array one value after another, so the exponentials can go
+        through a FIRST_CHUNK buffer."""
+        buffer = np.empty(min(FIRST_CHUNK, self.count - self._drawn))
+        while self._drawn < self.count:
+            size = self._next_size()
+            for start in range(0, size, buffer.size):
+                self._rng.standard_exponential(out=buffer[:size - start])
+            self._rng.standard_gamma(self.count + 1 - self._drawn)
 
 
 def channel_gain(normalized_distance, pathloss_exp: float):

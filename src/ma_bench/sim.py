@@ -5,9 +5,12 @@ Every trial realizes one slot: Poisson arrivals, then the scheme's admission
 or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
 bit-identical for any worker count. A coordinated slot draws its gains
-strongest first from exponential spacings and stops at the first device that
-does not fit, so it draws only the prefix admission reads; a random-access
-block is array operations and places no device.
+strongest first from exponential spacings and computes only the prefix
+admission reads: admission stops at the first device that does not fit, or,
+for FDMA and TDMA, once every unread device would fit at the cell-edge
+demand (the unread chunks' random draws are still made, so the block's next
+slot draws the same numbers). A random-access block is array operations and
+places no device.
 """
 
 from __future__ import annotations
@@ -116,9 +119,9 @@ def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
     devices: their gains are drawn strongest first, as far as admission reads."""
     devices = StrongestFirst(arrivals, params.pathloss_exp, rng)
     if config.scheme == FDMA:
-        return co.fdma_kmax(devices, params, config.enforce_minimum).admitted
+        return co.fdma_admitted_count(devices, params, config.enforce_minimum)
     if config.scheme == TDMA:
-        return co.tdma_kmax(devices, params, config.enforce_minimum).admitted
+        return co.tdma_admitted_count(devices, params, config.enforce_minimum)
     return co.noma_admitted_count(devices, params)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ma_bench import (DeviceSet, Infeasible, StrongestFirst, SystemParams,
-                      TrafficModel, fdma_kmax, fdma_min_bandwidth,
-                      make_device_set, noma_kmax, noma_power_allocation,
+                      TrafficModel, fdma_admitted_count, fdma_kmax,
+                      fdma_min_bandwidth, make_device_set, noma_admitted_count,
+                      noma_kmax, noma_power_allocation, tdma_admitted_count,
                       tdma_kmax, tdma_min_time, trial_rng)
-from ma_bench.coordinated import min_bandwidth_array, noma_admitted_count
+from ma_bench import coordinated
+from ma_bench.coordinated import min_bandwidth_array
 
 
 def residual(w, gain, params):
@@ -29,16 +32,24 @@ def delivered(width, gain, params):
 
 class Chunked:
     """Given gains, strongest first, served in chunks split at ``cuts``, the
-    way a StrongestFirst serves the gains it draws."""
+    way a StrongestFirst serves the gains it draws; ``served`` counts the
+    chunks handed out."""
 
-    def __init__(self, gains, cuts):
+    def __init__(self, gains, cuts=()):
         self.gains, self.cuts = gains, sorted(set(cuts))
+        self.served = 0
 
     def __len__(self):
         return self.gains.size
 
     def _split(self, values):
-        return iter([chunk for chunk in np.split(values, self.cuts) if chunk.size])
+        for chunk in np.split(values, self.cuts):
+            if chunk.size:
+                self.served += 1
+                yield chunk
+
+    def drain(self):
+        pass
 
     def gain_chunks(self):
         return self._split(self.gains)
@@ -54,6 +65,24 @@ def running_minimum_count(gains, params):
     rank = np.arange(1, gains.size + 1)
     x = (math.log2(params.ref_snr / params.snr_floor) + np.log2(gains)) / params.spectral_load
     return int(np.count_nonzero(np.minimum.accumulate(rank + x) >= rank))
+
+
+def tdma_demand(gains, params):
+    return params.payload_bits * math.log(2) / (
+        params.bandwidth_hz * np.log1p(params.ref_snr * gains))
+
+
+# (count function, budget field, minimum field, per-device demand)
+GREEDY = ((fdma_admitted_count, "bandwidth_hz", "min_subchannel_hz", min_bandwidth_array),
+          (tdma_admitted_count, "slot_s", "min_slot_s", tdma_demand))
+
+
+def sequential_count(gains, params, budget, minimum, demand):
+    """Devices before the first misfit of one sequential cumulative sum of
+    every device's demand, each padded up to ``minimum``."""
+    running = np.cumsum(np.maximum(demand(gains, params), minimum))
+    over = np.flatnonzero(running > budget * (1 + 1e-9))
+    return int(over[0]) if over.size else gains.size
 
 
 def recompute_sic_snr(powers, gains, ref_snr):
@@ -310,6 +339,111 @@ def test_greedy_prefix_is_maximal(params):
                 assert np.sum(full) > tol
 
 
+@st.composite
+def admissions(draw):
+    """A parameter set, a placed device set of up to 6000 devices (three
+    demand slices) and whether minima are enforced. The spectral load is
+    drawn so that the cell-edge TDMA shares of all n devices fill 0.2 to 3
+    slots: admission then ends at a misfit, on the cell-edge bound before
+    the first slice or after some, or by reading every device. Overloaded
+    sets give each device that load, so FDMA has infeasible lanes."""
+    n = draw(st.integers(0, 6000))
+    band = draw(st.floats(1e4, 1e7))
+    slot = draw(st.floats(1e-2, 10.0))
+    snr = draw(st.floats(1e-3, 1e3))
+    load = draw(st.floats(0.2, 3.0)) * math.log2(1.0 + snr)
+    if not draw(st.booleans()):   # overloaded?
+        load /= max(n, 1)
+    params = SystemParams(
+        bandwidth_hz=band, slot_s=slot, payload_bits=band * slot * load, ref_snr=snr,
+        pathloss_exp=draw(st.floats(2.5, 8.0)), min_slot_s=slot * draw(st.floats(1e-6, 1.0)),
+        min_subchannel_hz=band * draw(st.floats(1e-6, 1.0)))
+    devices = make_device_set(n, params, trial_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return params, devices, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(admissions())
+def test_admitted_counts_equal_the_sequential_sum(case):
+    params, devices, enforce = case
+    for count, budget, minimum, demand in GREEDY:
+        expected = sequential_count(devices.gains, params, getattr(params, budget),
+                                    getattr(params, minimum) if enforce else 0.0, demand)
+        assert count(devices, params, enforce) == expected
+
+
+def padded_cell_edge_cases(budget, minimum, n):
+    """Parameter sets, by ascending minimum, under which n cell-edge devices,
+    each padded up to the minimum, sum sequentially to within a few ulps of
+    the budget limit: the first four fit, the last three do not."""
+    base = SystemParams()
+    limit = getattr(base, budget) * (1 + 1e-9)
+
+    def total(pad):
+        return np.cumsum(np.full(n, pad))[-1]
+
+    pad = limit / n
+    while total(pad) <= limit:
+        pad = np.nextafter(pad, np.inf)
+    while total(pad) > limit:
+        pad = np.nextafter(pad, 0.0)
+    # pad is now the largest padding under which all n fit
+    around = [pad]
+    for _ in range(3):
+        around += [np.nextafter(around[0], 0.0), np.nextafter(around[-1], np.inf)]
+        around.sort()
+    return [dataclasses.replace(base, **{minimum: float(p)}) for p in around]
+
+
+@pytest.mark.parametrize("count, budget, minimum, demand", GREEDY, ids=("fdma", "tdma"))
+def test_cell_edge_bound_at_the_budget_edge(count, budget, minimum, demand):
+    n = 997
+    gains = np.ones(n)
+    cases = padded_cell_edge_cases(budget, minimum, n)
+    counts = []
+    for params in cases:
+        pad = getattr(params, minimum)
+        assert demand(gains[:1], params)[0] < pad   # every demand is the padding
+        expected = sequential_count(gains, params, getattr(params, budget), pad, demand)
+        counts.append(count(DeviceSet(gains), params, enforce_minimum=True))
+        assert counts[-1] == expected
+    assert counts[:4] == [n] * 4 and all(c < n for c in counts[4:])
+    # Just below the sum's edge the bound must not admit unread; somewhat
+    # further down it must, and the count stays n on both sides of it.
+    params = cases[3]
+    pad, fired = getattr(params, minimum), []
+    while not fired or not fired[-1]:
+        source = Chunked(gains)
+        params = dataclasses.replace(params, **{minimum: pad})
+        assert count(source, params, enforce_minimum=True) == n
+        fired.append(source.served == 0)
+        pad = float(np.nextafter(pad, 0.0))
+        assert len(fired) < 4096
+    assert not fired[0]
+
+
+@pytest.mark.parametrize("count, payload, arrivals", [
+    (fdma_admitted_count, 1000.0, 10_000), (fdma_admitted_count, 1000.0, 15_000),
+    (tdma_admitted_count, 100.0, 5_000), (tdma_admitted_count, 100.0, 15_000)])
+def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch):
+    # The bound admits the unread devices, before the first chunk or inside a
+    # later one (the 15,000-device slots), but their chunks' draws are still
+    # made: the generator ends where reading every chunk would leave it.
+    params = SystemParams(payload_bits=payload)
+    solved = []
+    per_device = "min_bandwidth_array" if count is fdma_admitted_count else "_min_time_array"
+    solver = getattr(coordinated, per_device)
+    monkeypatch.setattr(coordinated, per_device,
+                        lambda gains, p: solved.append(gains.size) or solver(gains, p))
+    rng, twin = trial_rng(21, arrivals), trial_rng(21, arrivals)
+    assert count(StrongestFirst(arrivals, params.pathloss_exp, rng), params) == arrivals
+    assert sum(solved) < arrivals
+    gains = np.concatenate(list(StrongestFirst(arrivals, params.pathloss_exp, twin).gain_chunks()))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    _, budget, _, demand = next(case for case in GREEDY if case[0] is count)
+    assert sequential_count(gains, params, getattr(params, budget), 0.0, demand) == arrivals
+
+
 # --- superposition power stacks ----------------------------------------------
 
 def test_noma_power_allocation_examples():
@@ -393,16 +527,15 @@ def test_noma_closed_form_on_drawn_gains():
                 == running_minimum_count(gains, params)
 
 
-@pytest.mark.parametrize("kmax", [fdma_kmax, tdma_kmax])
-def test_greedy_admission_does_not_depend_on_chunking(kmax):
+@pytest.mark.parametrize("count, budget, minimum, demand", GREEDY, ids=("fdma", "tdma"))
+def test_greedy_admission_does_not_depend_on_chunking(count, budget, minimum, demand):
     for payload in (1000.0, 3000.0, 20000.0):
         params = SystemParams(payload_bits=payload)
         gains = make_device_set(12_000, params, trial_rng(8, int(payload))).gains
-        whole = kmax(DeviceSet(gains), params)
+        whole = count(DeviceSet(gains), params)
+        assert whole == sequential_count(gains, params, getattr(params, budget), 0.0, demand)
         for cuts in ([1], [2048, 6144], [17, 4000, 4097, 9000, 11_999]):
-            split = kmax(Chunked(gains, cuts), params)
-            assert split.admitted == whole.admitted
-            assert np.array_equal(split.resources, whole.resources)
+            assert count(Chunked(gains, cuts), params) == whole
 
 
 class ZeroFirstSpacing:
@@ -411,8 +544,8 @@ class ZeroFirstSpacing:
     def __init__(self, rng):
         self.rng, self.first = rng, True
 
-    def standard_exponential(self, size):
-        draws = self.rng.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        draws = self.rng.standard_exponential(size, out=out)
         if self.first:
             draws[0], self.first = 0.0, False
         return draws
@@ -429,11 +562,16 @@ def test_zero_spacing_reaches_no_kernel_as_inf_or_nan(params):
     gains = next(devices(3000).gain_chunks())
     assert gains[0] == 2.0 ** 106 and np.all(np.isfinite(gains))
     assert next(devices(3000).log2_gain_chunks())[0] == 106.0
+    # the drawn chunk's demands (all of it fits at the default parameters)
     for kmax in (fdma_kmax, tdma_kmax):
-        alloc = kmax(devices(3000), params)
-        assert 0 < alloc.admitted <= 3000
+        alloc = kmax(DeviceSet(gains), params)
+        assert alloc.admitted == gains.size
         assert np.all(np.isfinite(alloc.resources))
         assert np.all(alloc.resources > 0.0)
+    # FDMA admits 3000 devices by the cell-edge bound; the rest are read
+    for arrivals in (3000, 30_000):
+        for count in (fdma_admitted_count, tdma_admitted_count):
+            assert 0 < count(devices(arrivals), params) <= arrivals
     assert noma_admitted_count(devices(30_000), params) > 0
     assert np.isfinite(fdma_min_bandwidth(2.0 ** 106, params))
 
@@ -449,6 +587,19 @@ def test_kmax_monotone_in_resources(kmax):
     assert kmax(devices, SystemParams(payload_bits=3000.0, slot_s=2.0)).admitted >= reference
     assert kmax(devices, SystemParams(payload_bits=3000.0, ref_snr=2.0)).admitted >= reference
     assert kmax(devices, SystemParams(payload_bits=6000.0)).admitted <= reference
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(admissions(), st.sampled_from(["bandwidth_hz", "slot_s", "ref_snr"]),
+       st.floats(1.001, 8.0))
+def test_admitted_counts_monotone_in_resources(case, resource, factor):
+    # The widths, shares and stack caps are exact only to rounding, so the
+    # resource grows by at least 0.1%.
+    params, devices, enforce = case
+    grown = dataclasses.replace(params, **{resource: getattr(params, resource) * factor})
+    for count, _, _, _ in GREEDY:
+        assert count(devices, grown, enforce) >= count(devices, params, enforce)
+    assert noma_admitted_count(devices, grown) >= noma_admitted_count(devices, params)
 
 
 def test_infeasible_devices_are_skipped_not_fatal():
