@@ -300,7 +300,9 @@ def _cmd_cap(config: RunConfig, arrival_rate: float) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, built once and shared as a parent."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     for key, parse in _KEY_PARSERS.items():
         flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
@@ -308,6 +310,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
         else:   # parsed with the file values, so a bad one is an error: line
             parser.add_argument(flag, dest=key)
+    return parser
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -327,13 +330,13 @@ def main(argv=None) -> int:
         description="Throughput models for coordinated and uncoordinated "
                     "multiple access in M2M uplinks")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, help_text in (
             ("coordinated", "single-rate Monte Carlo summary of full-CSI schemes"),
             ("uncoordinated", "single-rate design point and analysis"),
             ("sweep", "throughput-versus-arrival-rate CSV"),
             ("cap", "closed-form quantities for scripting")):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+        sub = subparsers.add_parser(name, help=help_text, parents=[common])
         if name in ("coordinated", "uncoordinated", "cap"):
             sub.add_argument("--arrival-rate", default=None,
                              help="packets per second (default: lambda_min)")

@@ -16,8 +16,6 @@ places no device.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -205,13 +203,23 @@ def _checked_grid(lambda_grid) -> list[float]:
     return grid
 
 
+def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
+    """Served counts of one share of blocks at every point."""
+    return [run(share).served for run in runs]
+
+
 def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
               trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per arrival rate.
 
     Substreams are keyed on (master_seed, point index, block index), so
     equal inputs and master_seed give bit-identical rows for any worker
-    count; workers run contiguous ranges of blocks, merged by block index.
+    count. Each point's blocks are split into at most ``workers`` contiguous
+    shares, merged by block index. This process runs share 0 of every point;
+    a pool of one process per other share runs the others, each as one task
+    over every point, so no point waits for the one before it. Every point's
+    design is resolved first, so a design error raises before any process
+    starts.
     """
     grid = _checked_grid(lambda_grid)
     if trials < 1:
@@ -219,21 +227,33 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    rows = []
     blocks = range(-(-trials // BLOCK_TRIALS))
     step = -(-len(blocks) // workers)
     shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
-    # A pool starts all its processes at once: never more than there are shares.
-    pool = ProcessPoolExecutor(min(workers, len(shares))) if workers > 1 else nullcontext()
-    with pool as executor:
-        for index, lam in enumerate(grid):
-            traffic = TrafficModel(lam)
-            concrete = resolve_design(config, params, traffic)
-            run = partial(_run_blocks, concrete, params, traffic, master_seed, index, trials)
-            parts = (executor.map if executor else map)(run, shares)
-            stats = aggregate(np.concatenate([part.served for part in parts]), params)
-            rows.append(SweepRow(concrete.tag, lam, trials, stats.mean_throughput_pps,
-                                 stats.ci95_halfwidth_pps, master_seed, params.digest()))
+    runs = []
+    for index, lam in enumerate(grid):
+        traffic = TrafficModel(lam)
+        runs.append(partial(_run_blocks, resolve_design(config, params, traffic), params,
+                            traffic, master_seed, index, trials))
+
+    if len(shares) == 1:
+        served = _run_share(runs, shares[0])
+    else:
+        # Imported here: a run that never forks does not load the pool.
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(len(shares) - 1)
+        try:
+            pending = [executor.submit(_run_share, runs, share) for share in shares[1:]]
+            served = [np.concatenate(parts) for parts in zip(
+                _run_share(runs, shares[0]), *(future.result() for future in pending))]
+        finally:
+            executor.shutdown(cancel_futures=True)
+
+    rows = []
+    for lam, counts in zip(grid, served):
+        stats = aggregate(counts, params)
+        rows.append(SweepRow(config.tag, lam, trials, stats.mean_throughput_pps,
+                             stats.ci95_halfwidth_pps, master_seed, params.digest()))
     return rows
 
 

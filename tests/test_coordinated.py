@@ -183,6 +183,32 @@ def test_min_bandwidth_stays_monotone_across_the_overflow_edge(slot_s):
         params.payload_bits, rel=1e-12)
 
 
+@st.composite
+def descending_gains(draw):
+    """A valid parameter set and gains >= 1 in descending order. The strongest
+    lies a few decades, or up to 300, above the capacity edge (the gain at
+    which the payload equals the limit); steps of one ulp up to a decade
+    then make adjacent lanes near-equal or far apart, down across the edge."""
+    band, slot, load = (draw(st.floats(1e3, 1e8)), draw(st.floats(1e-3, 1e2)),
+                        draw(st.floats(1e-6, 20.0)))
+    params = SystemParams(bandwidth_hz=band, slot_s=slot, payload_bits=band * slot * load,
+                          ref_snr=draw(st.floats(1e-4, 1e4)))
+    edge = load * math.log(2.0) / params.ref_snr
+    top = max(edge, 1.0) * 10.0 ** draw(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 300.0)))
+    steps = draw(st.lists(st.sampled_from([0.0, 1e-16, 1e-13, 1e-9, 1e-4, 0.1, 1.0]),
+                          min_size=1, max_size=64))
+    return params, np.maximum(top * 10.0 ** -np.cumsum([0.0, *steps]), 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(descending_gains())
+def test_min_bandwidth_non_increasing_in_gain(case):
+    # each lane is solved on its own, so only the maths orders adjacent lanes
+    params, gains = case
+    widths = min_bandwidth_array(gains, params)
+    assert np.all(widths[1:] >= np.nextafter(widths[:-1], 0.0))
+
+
 def test_fdma_admits_devices_with_overflowing_power_terms():
     # gains past ~1e300 arise at large path-loss exponents; each needs ~1 Hz
     allocation = fdma_kmax(DeviceSet([1e306, 1e300, 2.0]), SystemParams(pathloss_exp=100))

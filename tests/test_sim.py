@@ -1,11 +1,20 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ma_bench import (BLOCK_TRIALS, SystemParams, TrafficModel,
+import ma_bench
+from ma_bench import (BLOCK_TRIALS, Infeasible, SystemParams, TrafficModel,
                       UncoordinatedDesign, aggregate, analytic_rows,
                       noma_design, optimize_design, resolve_design,
                       run_sweep, simulate_point, uncoordinated_throughput)
@@ -126,30 +135,93 @@ def test_sweep_workers_do_not_change_results(params):
                                  workers=workers) == serial
 
 
-def test_sweep_pool_holds_no_more_processes_than_shares(params, monkeypatch):
-    # a pool forks all its processes at once; this one records its size and
-    # runs the shares in-process
-    sizes = []
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Replaces concurrent.futures.ProcessPoolExecutor with a pool that runs
+    its tasks in-process and logs its sizes and the (point index, blocks)
+    shares submitted to it."""
+    log = SimpleNamespace(sizes=[], submitted=[])
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, runs, share):
+            log.submitted += [(run.args[4], share) for run in runs]
+            future = Future()
+            future.set_result(fn(runs, share))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return log
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+
+def test_sweep_pool_holds_no_more_processes_than_shares(params, pool_log, monkeypatch):
+    # this process runs share 0 of every point; a pool forks all its
+    # processes at once, one per other share, and none for a single share
+    ran = []
+    run_blocks = sim._run_blocks
+
+    def recording_run_blocks(*args):
+        ran.append((args[4], args[6]))
+        return run_blocks(*args)
+
+    monkeypatch.setattr(sim, "_run_blocks", recording_run_blocks)
     config = SchemeConfig("uncoordinated", "tdma")
-    for trials, workers, size in ((100, 8, 2), (1, 2, 1), (5 * BLOCK_TRIALS, 3, 3)):
-        serial = run_sweep(config, params, [100.0], trials, SEED)
-        assert run_sweep(config, params, [100.0], trials, SEED, workers=workers) == serial
-        assert sizes.pop() == size and not sizes
+    grid = [100.0, 400.0]
+    for trials, workers, shares in ((100, 8, [range(0, 1), range(1, 2)]),
+                                    (1, 2, [range(0, 1)]),
+                                    (5 * BLOCK_TRIALS, 3, [range(0, 2), range(2, 4), range(4, 5)])):
+        serial = run_sweep(config, params, grid, trials, SEED)
+        ran.clear()
+        assert run_sweep(config, params, grid, trials, SEED, workers=workers) == serial
+        assert pool_log.sizes == ([len(shares) - 1] if len(shares) > 1 else [])
+        others = [(point, share) for point in range(len(grid)) for share in shares[1:]]
+        assert Counter(pool_log.submitted) == Counter(others)
+        assert Counter(ran) == Counter(others + [(point, shares[0]) for point in range(len(grid))])
+        pool_log.sizes.clear()
+        pool_log.submitted.clear()
+
+
+def test_sweep_design_error_raises_before_any_pool(pool_log):
+    # the NOMA target at the second rate is past the float range
+    config = SchemeConfig("uncoordinated", "noma")
+    with pytest.raises(Infeasible, match="float range"):
+        run_sweep(config, SystemParams(slot_s=10.0), [100.0, 1e308],
+                  2 * BLOCK_TRIALS, SEED, workers=2)
+    assert pool_log.sizes == []
+
+
+def test_sweep_share_error_in_a_forked_process_propagates(params, monkeypatch):
+    sweeping = os.getpid()
+    draw_arrivals = sim.sample_arrivals
+
+    def fail_when_forked(*args, **kwargs):
+        if os.getpid() != sweeping:
+            raise RuntimeError("share failed in a forked process")
+        return draw_arrivals(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_arrivals", fail_when_forked)
+    with pytest.raises(RuntimeError, match="forked process"):
+        run_sweep(SchemeConfig("uncoordinated", "tdma"), params, [100.0, 400.0],
+                  2 * BLOCK_TRIALS, SEED, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_single_process_sweep_does_not_load_the_pool():
+    code = ("import sys; import ma_bench, ma_bench.cli; "
+            "from ma_bench import SchemeConfig, SystemParams, run_sweep; "
+            "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42); "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(ma_bench.__path__[0]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_sweep_validates_inputs(params):
