@@ -111,8 +111,7 @@ class RunConfig:
     def lambda_grid(self) -> list[float]:
         if self.lambda_steps == 1:
             return [self.lambda_min]
-        return [float(x) for x in
-                np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)]
+        return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps).tolist()
 
 
 # Keyed on the annotation text: both modules postpone annotation evaluation.
@@ -176,19 +175,13 @@ def parse_config(file_text: str, flag_overrides: dict | None = None,
         raise ConfigError(str(exc))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(rows: list[sim.SweepRow], path: str) -> None:
     """Write sweep rows as CSV, one column per SweepRow field in field order;
     byte-identical output for identical rows."""
     if not rows:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(_format_value, _ROW_VALUES(row))) for row in rows)
+    lines.extend(",".join(map(str, _ROW_VALUES(row))) for row in rows)   # floats round-trip
     payload = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="") as handle:
@@ -198,56 +191,48 @@ def emit_csv(rows: list[sim.SweepRow], path: str) -> None:
 
 
 def _scheme_configs(config: RunConfig, family: str | None = None) -> list[sim.SchemeConfig]:
-    selected = []
-    for token in config.schemes:
-        fam, _, scheme = token.partition("-")
-        if family is not None and fam != family:
-            continue
-        selected.append(sim.SchemeConfig(fam, scheme,
-                                         enforce_minimum=config.enforce_minimum,
-                                         noma_rule=config.noma_snr_rule))
+    selected = [sim.SchemeConfig(*token.split("-"), enforce_minimum=config.enforce_minimum,
+                                 noma_rule=config.noma_snr_rule)
+                for token in config.schemes if family in (None, token.split("-")[0])]
     if not selected:
         raise ConfigError(f"no {family} schemes configured (schemes="
                           + ",".join(config.schemes) + ")")
     return selected
 
 
+def _rows(config: RunConfig, scheme_config: sim.SchemeConfig,
+          grid: list[float]) -> list[sim.SweepRow]:
+    """One scheme's rows over ``grid`` in the configured mode: analytic rows
+    (mode=both skips them for coordinated schemes, which have none), then
+    Monte Carlo rows."""
+    rows = []
+    if config.mode == "analytic" or (config.mode == "both"
+                                     and scheme_config.family == UNCOORDINATED):
+        rows += sim.analytic_rows(scheme_config, config.params, grid, config.master_seed)
+    if config.mode != "analytic":
+        rows += sim.run_sweep(scheme_config, config.params, grid, config.trials,
+                              config.master_seed, workers=config.workers)
+    return rows
+
+
 def _cmd_sweep(config: RunConfig) -> int:
     grid = config.lambda_grid()
-    rows: list[sim.SweepRow] = []
-    for scheme_config in _scheme_configs(config):
-        if config.mode in ("analytic", "both"):
-            if scheme_config.family == COORDINATED:
-                if config.mode == "analytic":
-                    raise ConfigError(
-                        f"{scheme_config.tag}: coordinated schemes have no "
-                        "closed form; use mode=montecarlo or mode=both")
-            else:
-                rows.extend(sim.analytic_rows(scheme_config, config.params,
-                                              grid, config.master_seed))
-        if config.mode in ("montecarlo", "both"):
-            rows.extend(sim.run_sweep(scheme_config, config.params, grid,
-                                      config.trials, config.master_seed,
-                                      workers=config.workers))
+    rows = [row for scheme_config in _scheme_configs(config)
+            for row in _rows(config, scheme_config, grid)]
     emit_csv(rows, config.output_path)
     print(f"wrote {len(rows)} rows to {config.output_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_coordinated(config: RunConfig, arrival_rate: float) -> int:
-    if config.mode == "analytic":
-        raise ConfigError("coordinated schemes have no closed form; "
-                          "use mode=montecarlo or mode=both")
-    traffic = TrafficModel(arrival_rate)
     lines = [f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
              f"seed={config.master_seed}  enforce_minimum={config.enforce_minimum}",
              f"{'scheme':<20} {'mean_served':>12} {'throughput_pps':>15} {'ci95':>10}"]
     for scheme_config in _scheme_configs(config, COORDINATED):
-        counts = sim.simulate_point(scheme_config, config.params, traffic,
-                                    config.master_seed, 0, config.trials)
-        stats = sim.aggregate(counts.served, config.params)
-        lines.append(f"{scheme_config.tag:<20} {stats.mean_served:>12.3f} "
-                     f"{stats.mean_throughput_pps:>15.3f} {stats.ci95_halfwidth_pps:>10.3f}")
+        (row,) = _rows(config, scheme_config, [arrival_rate])   # the one-rate sweep row
+        served = row.mean_throughput_pps * config.params.slot_s
+        lines.append(f"{row.scheme:<20} {served:>12.3f} "
+                     f"{row.mean_throughput_pps:>15.3f} {row.ci95_halfwidth:>10.3f}")
     print("\n".join(lines))   # only once all succeeded: no partial table
     return 0
 
@@ -272,12 +257,10 @@ def _cmd_uncoordinated(config: RunConfig, arrival_rate: float) -> int:
                 f"{analysis.expected_transmitting:>10.2f} "
                 f"{analysis.collision_prob:>8.4f} "
                 f"{analysis.expected_success / config.params.slot_s:>13.3f}")
-        if with_mc:
-            counts = sim.simulate_point(concrete, config.params, traffic,
-                                        config.master_seed, 0, config.trials)
-            stats = sim.aggregate(counts.served, config.params)
-            line += (f" {stats.mean_throughput_pps:>10.3f} "
-                     f"{stats.ci95_halfwidth_pps:>9.3f}")
+        if with_mc:   # the one-rate sweep row, at the design resolved above
+            (row,) = sim.run_sweep(concrete, config.params, [arrival_rate], config.trials,
+                                   config.master_seed, workers=config.workers)
+            line += f" {row.mean_throughput_pps:>10.3f} {row.ci95_halfwidth:>9.3f}"
         lines.append(line)
     print("\n".join(lines))
     return 0
@@ -287,15 +270,14 @@ def _cmd_cap(config: RunConfig, arrival_rate: float) -> int:
     params = config.params
     traffic = TrafficModel(arrival_rate)
     design = un.noma_design(params, traffic, config.noma_snr_rule)
-    lines = [f"noma_device_cap={_format_value(un.noma_device_cap(params))}",
-             f"noma_target_snr={_format_value(design.target_snr)}"]
+    lines = [f"noma_device_cap={un.noma_device_cap(params)}",
+             f"noma_target_snr={design.target_snr}"]
     for scheme in (FDMA, TDMA):
         best = un.optimize_design(scheme, params, traffic)
         analysis = un.uncoordinated_throughput(best, params, traffic)
-        lines += [f"{scheme}_access_prob={_format_value(best.access_prob)}",
+        lines += [f"{scheme}_access_prob={best.access_prob}",
                   f"{scheme}_partitions={best.partitions}",
-                  f"{scheme}_expected_success_pps="
-                  f"{_format_value(analysis.expected_success / params.slot_s)}"]
+                  f"{scheme}_expected_success_pps={analysis.expected_success / params.slot_s}"]
     print("\n".join(lines))
     return 0
 
@@ -352,12 +334,9 @@ def main(argv=None) -> int:
             return _cmd_sweep(config)
         rate = config.lambda_min if args.arrival_rate is None else _flag_value(
             "arrival_rate", _PARSE_BY_TYPE["float"], args.arrival_rate)
-        if args.command == "coordinated":
-            return _cmd_coordinated(config, rate)
-        if args.command == "uncoordinated":
-            return _cmd_uncoordinated(config, rate)
-        return _cmd_cap(config, rate)
-    except (ConfigError, ValueError, OSError) as exc:
+        return {"coordinated": _cmd_coordinated, "uncoordinated": _cmd_uncoordinated,
+                "cap": _cmd_cap}[args.command](config, rate)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ places no device.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -215,11 +216,12 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     Substreams are keyed on (master_seed, point index, block index), so
     equal inputs and master_seed give bit-identical rows for any worker
     count. Each point's blocks are split into at most ``workers`` contiguous
-    shares, merged by block index. This process runs share 0 of every point;
-    a pool of one process per other share runs the others, each as one task
-    over every point, so no point waits for the one before it. Every point's
-    design is resolved first, so a design error raises before any process
-    starts.
+    shares (``workers`` capped at the CPU count), merged by block index. This
+    process runs share 0 of every point; a pool of one process per other
+    share runs the others, each as one task over every point, so no point
+    waits for the one before it. Every point's design is resolved first, so
+    a design error raises before any process starts. A pool process that
+    dies raises ChildProcessError.
     """
     grid = _checked_grid(lambda_grid)
     if trials < 1:
@@ -228,7 +230,7 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         raise ValueError("workers must be >= 1")
 
     blocks = range(-(-trials // BLOCK_TRIALS))
-    step = -(-len(blocks) // workers)
+    step = -(-len(blocks) // min(workers, os.cpu_count() or 1))
     shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
     runs = []
     for index, lam in enumerate(grid):
@@ -241,11 +243,14 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     else:
         # Imported here: a run that never forks does not load the pool.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         executor = ProcessPoolExecutor(len(shares) - 1)
         try:
             pending = [executor.submit(_run_share, runs, share) for share in shares[1:]]
             served = [np.concatenate(parts) for parts in zip(
                 _run_share(runs, shares[0]), *(future.result() for future in pending))]
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a sweep process died: {exc}") from exc
         finally:
             executor.shutdown(cancel_futures=True)
 
@@ -267,8 +272,8 @@ def analytic_rows(config: SchemeConfig, params: SystemParams, lambda_grid,
     are rejected.
     """
     if config.family != UNCOORDINATED:
-        raise ValueError("no closed-form throughput for coordinated schemes; "
-                         "run the Monte Carlo sweep")
+        raise ValueError(f"{config.tag}: coordinated schemes have no closed form; "
+                         "use mode=montecarlo or mode=both")
     rows = []
     for lam in _checked_grid(lambda_grid):
         traffic = TrafficModel(lam)

@@ -226,7 +226,10 @@ def max_partitions(scheme: str, params: SystemParams) -> int:
         ratio = params.slot_s / params.min_slot_s
     else:
         raise ValueError(f"partitions undefined for scheme {scheme!r}")
-    return max(1, int(ratio * (1.0 + 1e-9)))
+    ratio *= 1.0 + 1e-9
+    if ratio == math.inf:
+        raise ValueError(f"{scheme} partition minimum too small: the partition count overflows")
+    return max(1, int(ratio))
 
 
 def optimize_design(scheme: str, params: SystemParams,
@@ -243,12 +246,12 @@ def optimize_design(scheme: str, params: SystemParams,
     """
     if scheme not in (FDMA, TDMA):
         raise ValueError("optimize_design covers fdma and tdma only")
-    top = max_partitions(scheme, params)
+    top, active = max_partitions(scheme, params), traffic.arrival_rate * params.slot_s
     best, best_success, best_feasible, best_peak = 1, -math.inf, 0.0, 1.0
     for start in range(1, top + 1, _PARTITION_CHUNK):
         n = np.arange(start, min(start + _PARTITION_CHUNK, top + 1), dtype=float)
-        feasible = traffic.arrival_rate * params.slot_s * _gain_tail_probability(
-            _log_gain_threshold(scheme, n, params), params.pathloss_exp)
+        log_threshold = _log_gain_threshold(scheme, n, params)
+        feasible = active * _gain_tail_probability(log_threshold, params.pathloss_exp)
         peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
         if start == 1:
             peak[0] = 1.0
@@ -258,6 +261,15 @@ def optimize_design(scheme: str, params: SystemParams,
         if success[i] > best_success:   # first maximum over all chunks
             best, best_success = start + i, float(success[i])
             best_feasible, best_peak = float(feasible[i]), float(peak[i])
+        # The gain threshold is nondecreasing in N: (2**(sN) - 1) / N (FDMA)
+        # has slope of the sign of e**x (x - 1) + 1 >= 0 (x = sN ln 2), and
+        # 2**(sN) - 1 (TDMA) increases. So once the feasible load is 0, no
+        # larger count beats the first maximum kept (>= 0). A larger count's
+        # log threshold may round a few ulps of its terms (y, log(N ref_snr))
+        # below this one's, so the load must be 0 at half this log, too.
+        if feasible[-1] == 0.0 and active * _gain_tail_probability(
+                0.5 * log_threshold[-1], params.pathloss_exp) == 0.0:
+            break
     if not best_success > 0.0:
         return UncoordinatedDesign(scheme, access_prob=0.0, partitions=1)
     access = 1.0 if best_feasible <= best_peak else best_peak / best_feasible

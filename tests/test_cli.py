@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
 
-from ma_bench import SystemParams, cli
+from ma_bench import SystemParams, cli, sim
 from ma_bench.cli import (ConfigError, RunConfig, emit_csv, main,
                           parse_config, CSV_HEADER)
 from ma_bench.sim import SweepRow
@@ -363,8 +366,10 @@ def test_sweep_analytic_mode_rejects_coordinated(tmp_path, capsys):
     status, _, err = run(["sweep", "--schemes", "coordinated-fdma",
                           "--mode", "analytic",
                           "--output", str(tmp_path / "x.csv")], capsys)
-    assert status != 0
-    assert "closed form" in err
+    assert status == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "closed form" in lines[0] and "coordinated-fdma" in lines[0]
 
 
 def test_sweep_bad_config_exits_nonzero(tmp_path, capsys):
@@ -473,7 +478,90 @@ def test_coordinated_at_a_hundred_million_arrivals_prints_a_result(capsys):
 
 
 def test_coordinated_analytic_mode_rejected(capsys):
-    status, _, err = run(["coordinated", "--mode", "analytic",
-                          "--arrival-rate", "10"], capsys)
-    assert status != 0
-    assert "closed form" in err
+    status, out, err = run(["coordinated", "--mode", "analytic",
+                            "--arrival-rate", "10"], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "closed form" in lines[0] and "coordinated-fdma" in lines[0]
+
+
+def test_rate_grid_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # numpy refuses the 7 PiB grid at once, touching no memory
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(["sweep", "--lambda-steps", "1000000000000000", "--mode",
+                            "analytic", "--schemes", "uncoordinated-fdma",
+                            "--output", str(out_path)], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "allocate" in lines[0], err
+    assert not out_path.exists()
+
+
+def test_dead_sweep_process_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # two shares: this process runs one, the single pool process dies on the other
+    sweeping = os.getpid()
+    draw_arrivals = sim.sample_arrivals
+
+    def die_when_forked(*args, **kwargs):
+        if os.getpid() != sweeping:
+            os._exit(1)
+        return draw_arrivals(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_arrivals", die_when_forked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(["sweep", "--workers", "2", "--schemes", "uncoordinated-tdma",
+                            "--mode", "montecarlo", "--lambda-steps", "1",
+                            "--trials", str(2 * sim.BLOCK_TRIALS),
+                            "--output", str(out_path)], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "died" in lines[0], err
+    assert not out_path.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_tiny_partition_minimum_stops_the_design_scan(capsys):
+    # at the defaults every count above ~2.2e6 sub-slots has feasible load 0,
+    # so 1e300 admissible counts are scanned no further than 1e8 are
+    designs = []
+    for minimum in ("1e-8", "1e-300"):
+        start = time.perf_counter()
+        status, out, err = run(["cap", "--arrival-rate", "1000", "--min-slot-s", minimum],
+                               capsys)
+        assert status == 0, err
+        assert time.perf_counter() - start < 5.0
+        designs.append([line for line in out.splitlines() if line.startswith("tdma_")])
+    assert designs[0] == designs[1]
+    assert "tdma_partitions=1575" in designs[0]
+
+
+@pytest.mark.parametrize("flag", ["--min-slot-s", "--min-subchannel-hz"])
+def test_partition_count_past_the_float_range_is_one_error_line(flag, capsys):
+    status, out, err = run(["cap", flag, "5e-324"], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0], err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command, scheme, rate, column", [
+    ("coordinated", "coordinated-tdma", "3000", 2),
+    ("uncoordinated", "uncoordinated-fdma", "2000", 8),
+])
+def test_single_rate_figure_is_the_one_rate_sweep_row(command, scheme, rate, column,
+                                                      workers, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # workers=2 forks one process
+    common = ["--schemes", scheme, "--trials", "200", "--master-seed", "7",
+              "--workers", workers]
+    status, out, err = run([command, "--arrival-rate", rate] + common, capsys)
+    assert status == 0, err
+    table = next(line.split() for line in out.splitlines() if line.startswith(scheme))
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", "--mode", "montecarlo", "--lambda-steps", "1",
+                          "--lambda-min", rate, "--output", str(out_path)] + common, capsys)
+    assert status == 0, err
+    (row,) = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert [table[column], table[column + 1]] == [f"{float(row[3]):.3f}",
+                                                  f"{float(row[4]):.3f}"]

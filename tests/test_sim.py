@@ -125,8 +125,10 @@ def test_sweep_rows_and_determinism(params):
     assert all(row.seed == SEED for row in rows1)
 
 
-def test_sweep_workers_do_not_change_results(params):
-    # one trial, part of one block, and two blocks plus part of a third
+def test_sweep_workers_do_not_change_results(params, monkeypatch):
+    # one trial, part of one block, and two blocks plus part of a third;
+    # four CPUs, so that workers=4 splits the blocks four ways
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for config in (SchemeConfig("uncoordinated", "tdma"), SchemeConfig("coordinated", "noma")):
         for trials in (1, 60, 2 * BLOCK_TRIALS + 2):
             serial = run_sweep(config, params, [100.0, 400.0], trials, SEED, workers=1)
@@ -162,6 +164,7 @@ def pool_log(monkeypatch):
 def test_sweep_pool_holds_no_more_processes_than_shares(params, pool_log, monkeypatch):
     # this process runs share 0 of every point; a pool forks all its
     # processes at once, one per other share, and none for a single share
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     ran = []
     run_blocks = sim._run_blocks
 
@@ -186,6 +189,17 @@ def test_sweep_pool_holds_no_more_processes_than_shares(params, pool_log, monkey
         pool_log.submitted.clear()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_sweep_workers_are_capped_at_the_cpu_count(params, pool_log, monkeypatch, cpus):
+    # ten blocks at workers=100000 split into as many shares as CPUs (one
+    # if the count is unknown): this process runs one, the pool the others
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = SchemeConfig("uncoordinated", "tdma")
+    rows = run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED, workers=100_000)
+    assert rows == run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED)
+    assert pool_log.sizes == ([cpus - 1] if cpus and cpus > 1 else [])
+
+
 def test_sweep_design_error_raises_before_any_pool(pool_log):
     # the NOMA target at the second rate is past the float range
     config = SchemeConfig("uncoordinated", "noma")
@@ -205,6 +219,7 @@ def test_sweep_share_error_in_a_forked_process_propagates(params, monkeypatch):
         return draw_arrivals(*args, **kwargs)
 
     monkeypatch.setattr(sim, "sample_arrivals", fail_when_forked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="forked process"):
         run_sweep(SchemeConfig("uncoordinated", "tdma"), params, [100.0, 400.0],
                   2 * BLOCK_TRIALS, SEED, workers=2)

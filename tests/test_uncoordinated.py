@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       noma_feasibility_probability, noma_required_snr,
                       optimize_design, transmit_probability,
                       uncoordinated_throughput, trial_rng)
+from ma_bench import uncoordinated as un
 from ma_bench.uncoordinated import (_gain_tail_probability, _log_gain_threshold,
                                     max_partitions, noma_supported)
 
@@ -459,6 +461,25 @@ def test_optimizer_memory_stays_bounded_at_a_million_partitions(scheme, payload_
         tracemalloc.stop()
     assert peak < 8_000_000
     assert (design.partitions, design.access_prob) == unchunked_design(scheme, fine, traffic)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["fdma", "tdma"]), st.integers(65_537, 300_000),
+       st.floats(-6.0, 0.0), st.floats(1e-3, 1e3), st.floats(2.01, 8.0),
+       st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
+def test_optimizer_stop_at_zero_feasible_load_keeps_the_design(
+        scheme, partitions, log_load, ref_snr, pathloss_exp, lam):
+    # two to five chunks; spectral loads 1e-6..1: the scan stops after the
+    # first chunk, after a later one, or not at all, and the best count lies
+    # in the first chunk or a later one
+    params = SystemParams(payload_bits=1e6 * 10.0 ** log_load, ref_snr=ref_snr,
+                          pathloss_exp=pathloss_exp,
+                          min_subchannel_hz=1e6 / partitions, min_slot_s=1.0 / partitions)
+    traffic = TrafficModel(lam)
+    top = max_partitions(scheme, params)
+    with mock.patch.object(un, "_PARTITION_CHUNK", top):   # one chunk: no stop
+        unstopped = optimize_design(scheme, params, traffic)
+    assert optimize_design(scheme, params, traffic) == unstopped
 
 
 def test_optimizer_low_load_keeps_full_access(params):
