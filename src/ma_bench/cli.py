@@ -17,6 +17,7 @@ output path.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -92,6 +93,9 @@ class RunConfig:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.noma_snr_rule not in un.SNR_RULES:
             raise ValueError("noma_snr_rule must be one of " + ", ".join(un.SNR_RULES))
+        if not (math.isfinite(self.lambda_min) and math.isfinite(self.lambda_max)):
+            raise ValueError(f"lambda_min and lambda_max must be finite, got "
+                             f"{self.lambda_min!r} and {self.lambda_max!r}")
         if self.lambda_min < 0:
             raise ValueError("lambda_min must be >= 0")
         if self.lambda_min > self.lambda_max:

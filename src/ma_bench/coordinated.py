@@ -9,22 +9,31 @@ every successive-cancellation stage decodable. Devices are admitted
 strongest gain first, since weaker devices always need more resource, and
 each kernel stops at the first device that does not fit, or as soon as no
 unread device can change the count: every gain is >= 1, so a cell-edge
-device needs the most. The count kernels read the gains in chunks
-(``gain_chunks()`` or ``log2_gain_chunks()`` of a DeviceSet, one chunk, or of
-a StrongestFirst, drawn as read), so a chunked source computes gains only as
-far as the kernel reads.
+device needs the most. The count kernels read the gains in slices of
+FIRST_CHUNK (``gain_chunks()`` or ``log2_gain_chunks()`` of a DeviceSet, or
+of a StrongestFirst, drawn as read), so a chunked source computes gains only
+as far as the kernel reads.
+
+The FDMA and TDMA counts are those of one sequential sum of the exact
+demands (min_bandwidth_array's walked widths, the closed-form time shares),
+which fdma_kmax and tdma_kmax also allocate. The count kernels certify that
+count from cheaper work instead: FDMA widths from Newton steps alone, each
+bracketed to a proven relative error, and pairwise sums, inside a proven
+rounding enclosure of the exact sum; where the enclosure cannot decide a
+count, the exact sum does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (FDMA, FIRST_CHUNK, NOMA, TDMA, DeviceSet, Infeasible,
-                    StrongestFirst, SystemParams)
+from .model import (FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst,
+                    SystemParams)
 
 _LN2 = math.log(2.0)
 
@@ -60,7 +69,8 @@ def _log_growth_root(k: np.ndarray) -> np.ndarray:
     t = peak + np.log1p(np.sqrt(2.0 * c) + c)
     for _ in range(4):
         grown = np.expm1(t)
-        t -= (t - k * grown) / (gap - k * grown)
+        grown *= k
+        t -= (t - grown) / (gap - grown)
     return t
 
 
@@ -82,6 +92,33 @@ def _overflow_widths(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     return np.nan_to_num(params.payload_bits * _LN2 / params.slot_s / t, nan=np.inf)
 
 
+def _shortfall(w: np.ndarray, term: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Bits a subchannel of width w delivers short of the payload (< 0: short)."""
+    return w * params.slot_s * np.log1p(term / w) / _LN2 - params.payload_bits
+
+
+def _newton_widths(gains: np.ndarray, params: SystemParams):
+    """Widths where min_bandwidth_array starts its walk, the indices of the
+    lanes it walks and their power terms. Lanes with k >= 1 are inf; lanes
+    whose limit, power term or e^t overflows are solved in logs
+    (_overflow_widths) and not walked."""
+    g = np.asarray(gains, dtype=float)
+    w = np.full(g.shape, np.inf)
+    # Overflowing lanes are expected here and solved in logs: no warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        limit = _deliverable_bits_limit(g, params)
+        lane = np.flatnonzero(params.payload_bits < limit)
+        term = params.ref_snr * params.bandwidth_hz * g[lane]
+        k = params.payload_bits / limit[lane]
+        start = term * k / _log_growth_root(k)
+    lost = ~np.isfinite(start)   # the limit, the power term or e^t overflowed
+    if lost.any():
+        w[lane[lost]] = _overflow_widths(g[lane[lost]], params)
+        lane, term, start = lane[~lost], term[~lost], start[~lost]
+    w[lane] = start
+    return w, lane, term
+
+
 def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     """Smallest subchannel (Hz) carrying one packet for each gain.
 
@@ -95,37 +132,21 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     root to ~1e-16 / (1 - k). Lanes with k >= 1, and lanes whose walk ends
     still short (payloads within rounding of the limit), come back as inf.
     Lanes where the limit, the power term or e^t overflows are solved in
-    logs instead (_overflow_widths), without the walk.
+    logs instead (_overflow_widths), without the walk. These are the exact
+    widths: fdma_kmax allocates them, and FDMA admission falls back to them
+    whenever its certified sum cannot decide a count (_admitted_count).
     """
-    g = np.asarray(gains, dtype=float)
-    out = np.full(g.shape, np.inf)
-    # Overflowing lanes are expected here and solved in logs: no warnings.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        limit = _deliverable_bits_limit(g, params)
-        feasible = params.payload_bits < limit
-        if not feasible.any():
-            return out
-        power_term = params.ref_snr * params.bandwidth_hz * g[feasible]
-        k = params.payload_bits / limit[feasible]
-        w = power_term * k / _log_growth_root(k)
-        # Falling short: gallop up; else step down to the edge. A lane neither
-        # short nor spare keeps its width, so each pass walks only the lanes
-        # that moved on the pass before: their indices, widths, power terms
-        # and strides.
-        lane, at, term, stride = np.arange(w.size), w, power_term, np.spacing(w)
-        lost = ~np.isfinite(w)   # the limit, the power term or e^t overflowed
-        if lost.any():
-            w[lost] = _overflow_widths(g[feasible][lost], params)
-            lane = np.flatnonzero(~lost)
-            at, term, stride = w[lane], power_term[lane], stride[lane]
-
-    def shortfall(w, term):
-        return w * params.slot_s * np.log1p(term / w) / _LN2 - params.payload_bits
-
+    w, lane, term = _newton_widths(gains, params)
+    at = w[lane]
+    # Falling short: gallop up; else step down to the edge. A lane neither
+    # short nor spare keeps its width, so each pass walks only the lanes
+    # that moved on the pass before: their indices, widths, power terms
+    # and strides.
+    stride = np.spacing(at)
     for _ in range(64):
         below = np.nextafter(at, 0.0)
-        short = shortfall(at, term) < 0
-        spare = shortfall(below, term) >= 0
+        short = _shortfall(at, term, params) < 0
+        spare = _shortfall(below, term, params) >= 0
         at = np.where(short, at + stride, np.where(spare, below, at))
         w[lane] = at
         keep = np.flatnonzero(short | spare)
@@ -134,8 +155,45 @@ def min_bandwidth_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
         if not lane.size:
             break
     w[lane[short]] = np.inf   # still short after the last pass
-    out[feasible] = w
-    return out
+    return w
+
+
+# Bracket of a Newton width: its walk gallops up by 1, 2, 4, ... strides of
+# one ulp, so six gallop steps end at w0 + 63 ulp.
+_GALLOP = 63 * 2.0 ** -52
+_EXPONENT = np.int64(0x7FF0000000000000)
+# Relative error of a bracketed width against the walked one (see below).
+_WIDTH_ERROR = 2.0 ** -45
+
+
+def _bracketed_widths(gains: np.ndarray, params: SystemParams) -> np.ndarray:
+    """min_bandwidth_array's widths to within a relative _WIDTH_ERROR: the
+    Newton widths w0 the walk starts from, without the walk, where a bracket
+    proves the walk ends near w0; the walked width elsewhere.
+
+    The walk gallops up from w0 while short, by 1, 2, 4, ... strides of
+    s = spacing(w0), then steps down one float at a time while the float
+    below is spare. With lo = w0 (1 - 2**-46) rounded and hi = w0 + 63 s,
+    shortfall(lo) < 0 <= shortfall(hi) brackets the walked width in (lo, hi]:
+    the gallop stops by its sixth step, which lands on hi as long as
+    hi stays in w0's binade (every step is then exact, and hi < 2 * 2**e
+    checks it), and a step down never passes the float above lo, whose
+    lower neighbour lo falls short. The shortfall need not be monotone for
+    this. s = 2**e * 2**-52 with 2**e = w0's exponent bits; a subnormal w0
+    reads 2**e = 0 and fails the binade check. So w0 / w - 1 lies within
+    (2**-46 + 2**-53) / (1 - 2**-46 - 2**-53) < 2**-45.
+    """
+    w, lane, term = _newton_widths(gains, params)
+    w0 = w[lane]
+    binade = (w0.view(np.int64) & _EXPONENT).view(float)   # 2**e
+    hi = w0 + binade * _GALLOP
+    sure = _shortfall(w0 * (1.0 - 2.0 ** -46), term, params) < 0
+    sure &= _shortfall(hi, term, params) >= 0
+    sure &= hi < binade + binade
+    if not sure.all():
+        walk = lane[~sure]
+        w[walk] = min_bandwidth_array(np.asarray(gains, dtype=float)[walk], params)
+    return w
 
 
 def fdma_min_bandwidth(gain: float, params: SystemParams) -> float:
@@ -173,43 +231,128 @@ def _edge_demand(per_device, params: SystemParams, minimum: float) -> float:
     return max(float(per_device(np.ones(1), params)[0]), minimum)
 
 
-def _admitted_count(devices, params: SystemParams, budget: float,
-                    minimum: float, per_device) -> int:
+def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -> bool:
+    """Whether ``unread`` more devices, each needing at most ``edge``, fit
+    after a running sum of at most ``used``."""
+    # The solver's width may rise by an ulp as the gain grows; the factor
+    # 1 + 2**-50 in edge covers it, so no unread demand exceeds edge. With
+    # u = 2**-53, m more rounded additions end at most at (used + m edge)(1 +
+    # u)**m <= (used + m edge)(1 + m u + (m u)**2); the test's four roundings
+    # lose at most a factor (1 - u)**4, and (1 + 2 (m + 2) u)(1 - u)**4 covers
+    # both for 1 <= m <= 2**52. Running sums only grow, so every prefix then
+    # fits. An inf edge never passes.
+    return (used + unread * edge) * (1.0 + (unread + 2) * 2.0 ** -52) <= limit
+
+
+_U = 2.0 ** -53   # unit roundoff
+_BLOCK = 64       # devices per pairwise block sum in a crossing slice
+
+
+def _certified_count(devices, parts, read: list, params: SystemParams, limit: float,
+                     minimum: float, edge: float, fast, error: float) -> int | None:
+    """The exact count of _admitted_count from cheap demands and sums, or
+    None where they cannot decide it. Slices read are appended to ``read``.
+
+    Let S_k be the exact kernel's sequential float sum of the first k exact
+    demands d_i, and R_k any float sum (pairwise, blocked, in any order) of
+    the first k cheap demands, with |d~_i - d_i| <= error d_i where d_i is
+    finite (max(., minimum) keeps the bound) and d~_i = d_i = inf elsewhere.
+    A float sum of k terms >= 0 rounds each at most k - 1 times, so with
+    g = n u / (1 - n u), u = 2**-53, both S_k and R_k lie within a factor
+    1 +- g of their exact sums (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.2), and for g, error <= 2**-12
+        R_k (1 - e) <= S_k <= R_k (1 + e),   e = 3 g + 2 error.
+    With hi, lo = 1 +- (e + 4 u) as floats and a limit in [2**-1000,
+    2**1000], fits = fl(limit / hi) and misses = fl(limit / lo) are normal,
+    fits (1 + e) <= limit and misses (1 - e) >= limit. So R_k <= fits proves
+    S_k <= limit, and R_k > misses proves S_k > limit, also where R_k is inf:
+    an inf demand makes S_k inf too, and an overflowed sum puts S_k above
+    2**1023 (1 - e). S_k only grows, so the count is the k where the first
+    proof ends if the second holds for k + 1. The cell-edge test reads the
+    upper end, one float above fl(R_k hi) >= S_k, so it fires only where the
+    exact test would fire too.
+    """
+    n = len(devices)
+    gamma = n * _U / (1.0 - n * _U)
+    slack = 3.0 * gamma + 2.0 * error + 4.0 * _U
+    hi = 1.0 + slack
+    fits, misses = limit / hi, limit / (1.0 - slack)
+    total, done = 0.0, 0
+    while done < n:
+        if _edge_admits_the_rest(math.nextafter(total * hi, math.inf), n - done, edge, limit):
+            devices.drain()
+            return n
+        read.append(next(parts))
+        demand = fast(read[-1], params)
+        if minimum > 0.0:
+            demand = np.maximum(demand, minimum)
+        after = total + demand.sum()
+        if after > fits:
+            fit = _certified_crossing(demand, total, fits, misses)
+            return None if fit is None else done + fit
+        total, done = after, done + demand.size
+    return n
+
+
+def _certified_crossing(demand: np.ndarray, total: float, fits: float,
+                        misses: float) -> int | None:
+    """The devices of ``demand`` that fit after ``total`` if the enclosure
+    decides it: pairwise block sums locate the block where the running sum
+    leaves the certain fits, and a sequential sum inside that block the
+    device, which must then be a certain miss."""
+    blocks = np.add.reduceat(demand, np.arange(0, demand.size, _BLOCK))
+    blocks.cumsum(out=blocks)
+    blocks += total
+    block = int(blocks.searchsorted(fits, side="right"))
+    if block == blocks.size:
+        return None
+    first = block * _BLOCK
+    running = demand[first:first + _BLOCK].cumsum()
+    running += blocks[block - 1] if block else total
+    fit = int(running.searchsorted(fits, side="right"))
+    if fit < running.size and running[fit] > misses:
+        return first + fit
+    return None
+
+
+def _admitted_count(devices, params: SystemParams, budget: float, minimum: float,
+                    exact, fast, error: float) -> int:
     """Strongest-first count of devices whose running resource sum fits the
     budget.
 
-    ``per_device`` maps a gain chunk to its resource demand (nondecreasing as
-    gains fall, so the first device that does not fit ends the admission and
-    no later chunk is read). Demands below ``minimum`` are padded up to it.
-    The running sum is one sequence of additions across chunks, so the count
-    does not depend on where the chunks split.
+    ``exact`` maps a slice of gains to its resource demands (nondecreasing
+    as gains fall, so the first device that does not fit ends the admission
+    and no later slice is read). Demands below ``minimum`` are padded up to
+    it. The count is that of one sequential float sum of the exact demands
+    across slices, so it does not depend on where the slices split.
+
+    Certified: the count is decided from ``fast`` demands, within a relative
+    ``error`` of the exact ones, and pairwise sums, inside a proven rounding
+    enclosure (_certified_count). Where the enclosure cannot decide it, the
+    slices read so far, then the rest, are summed exactly.
 
     Every gain is >= 1, so no unread device needs more than the cell-edge
     demand. Once the m unread devices fit at that demand, all n do: the rest
     is not solved, and a StrongestFirst source only makes the draws it would
     have made (drain), so its generator ends where a full read leaves it.
+    Reading a slice makes the same draws as draining its chunk, so the count
+    alone sets where the generator ends.
     """
     n = len(devices)
     limit = budget * (1.0 + _BUDGET_TOL)
-    # The solver's width may rise by an ulp as the gain grows; the factor
-    # 1 + 2**-50 covers it, so no unread demand exceeds edge. With u = 2**-53,
-    # m more rounded additions end at most at (used + m edge)(1 + u)**m
-    # <= (used + m edge)(1 + m u + (m u)**2); the test's four roundings lose
-    # at most a factor (1 - u)**4, and (1 + 2 (m + 2) u)(1 - u)**4 covers both
-    # for 1 <= m <= 2**52. Running sums only grow, so every prefix then fits.
-    # An inf edge never passes.
-    edge = _edge_demand(per_device, params, minimum) * (1.0 + 2.0 ** -50)
+    edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
+    parts, read = iter(devices.gain_chunks()), []
+    if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
+        count = _certified_count(devices, parts, read, params, limit, minimum, edge, fast, error)
+        if count is not None:
+            return count
     used, done = 0.0, 0
-    # FIRST_CHUNK devices per demand evaluation bounds the FDMA solver's
-    # temporaries, and the lanes it solves past the first misfit, to that many.
-    parts = (chunk[start:start + FIRST_CHUNK]
-             for chunk in devices.gain_chunks() for start in range(0, chunk.size, FIRST_CHUNK))
+    parts = itertools.chain(read, parts)
     while done < n:
-        unread = n - done
-        if (used + unread * edge) * (1.0 + (unread + 2) * 2.0 ** -52) <= limit:
+        if _edge_admits_the_rest(used, n - done, edge, limit):
             devices.drain()
             return n
-        demand = per_device(next(parts), params)
+        demand = exact(next(parts), params)
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
         running = np.concatenate(([used], demand))
@@ -230,7 +373,8 @@ def fdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     min_subchannel_hz, which also caps the count at
     bandwidth_hz / min_subchannel_hz."""
     minimum = params.min_subchannel_hz if enforce_minimum else 0.0
-    return _admitted_count(devices, params, params.bandwidth_hz, minimum, min_bandwidth_array)
+    return _admitted_count(devices, params, params.bandwidth_hz, minimum,
+                           min_bandwidth_array, _bracketed_widths, _WIDTH_ERROR)
 
 
 def tdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,
@@ -238,7 +382,8 @@ def tdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     """Length of the longest device prefix whose minimal time shares fit in
     the slot (each padded up to min_slot_s with enforce_minimum)."""
     minimum = params.min_slot_s if enforce_minimum else 0.0
-    return _admitted_count(devices, params, params.slot_s, minimum, _min_time_array)
+    return _admitted_count(devices, params, params.slot_s, minimum,
+                           _min_time_array, _min_time_array, 0.0)
 
 
 def fdma_kmax(devices: DeviceSet, params: SystemParams,
@@ -291,7 +436,7 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
 
     and the count is K* = min(n, min_i max(i - 1, floor(i + x_i))). Gains are
     >= 1, so x_i is at least its cell-edge value: once no unread device can
-    lower the minimum, no further chunk is read.
+    lower the minimum, no further slice is read.
     """
     load = params.spectral_load
     offset = math.log2(params.ref_snr / params.snr_floor)
@@ -299,15 +444,17 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     bound, done = float(len(devices)), 0
     chunks = iter(devices.log2_gain_chunks())
     while bound > max(done, np.floor(done + 1.0 + edge)):
-        log2_gains = next(chunks)
-        rank = np.arange(done + 1.0, done + log2_gains.size + 1.0)
-        stack = offset + log2_gains   # then in place: two arrays per chunk
+        stack = next(chunks)   # log2 gains, made i + max(x_i, -1) in place
+        stack += offset
         stack /= load
-        stack += rank
-        np.floor(stack, out=stack)
-        rank -= 1.0
-        bound = min(bound, float(np.maximum(rank, stack, out=stack).min()))
-        done += log2_gains.size
+        if edge < -1.0:   # else every x_i >= edge >= -1 already
+            np.maximum(stack, -1.0, out=stack)
+        stack += np.arange(done + 1.0, done + stack.size + 1.0)
+        # Rounding is monotone, so i + max(x_i, -1) rounds to max(i + x_i
+        # rounded, i - 1), and so is floor: the least floor is the floor of
+        # the least.
+        bound = min(bound, float(np.floor(stack.min())))
+        done += stack.size
     return int(bound)
 
 

@@ -96,6 +96,12 @@ class TrafficModel:
             raise ValueError(f"arrival_rate must be finite and >= 0, got {self.arrival_rate!r}")
 
 
+# Devices in StrongestFirst's first chunk; each later chunk doubles. Chunk
+# sources hand the admission kernels slices of this size, so every chunk
+# splits into whole slices.
+FIRST_CHUNK = 2048
+
+
 @dataclass(frozen=True, eq=False)
 class DeviceSet:
     """A realized contending population as channel gains, strongest first."""
@@ -117,13 +123,16 @@ class DeviceSet:
         """The ``count`` strongest devices."""
         return DeviceSet(self.gains[:count])
 
-    def gain_chunks(self) -> tuple[np.ndarray]:
-        """The gains as one chunk, the form the admission kernels read."""
-        return (self.gains,)
+    def gain_chunks(self):
+        """The gains in slices of FIRST_CHUNK, the form the admission kernels
+        read."""
+        for start in range(0, self.gains.size, FIRST_CHUNK):
+            yield self.gains[start:start + FIRST_CHUNK]
 
-    def log2_gain_chunks(self) -> tuple[np.ndarray]:
-        """log2 of the gains as one chunk."""
-        return (np.log2(self.gains),)
+    def log2_gain_chunks(self):
+        """log2 of the gains, a slice at a time as read."""
+        for gains in self.gain_chunks():
+            yield np.log2(gains)
 
     def drain(self):
         """Nothing is drawn as it is read: nothing to drain."""
@@ -133,16 +142,13 @@ class DeviceSet:
 # spacing gives the strongest gain a placement can have rather than inf.
 _NEAREST = 2.0 ** -53
 
-# Devices in StrongestFirst's first chunk; each later chunk doubles. The
-# admission kernels evaluate demands in slices of this size, so every chunk
-# splits into whole slices.
-FIRST_CHUNK = 2048
-
 
 class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
-    for them, so a reader that stops early never draws the rest.
+    for them, so a reader that stops early never draws the rest. A reader
+    gets the chunks in slices of FIRST_CHUNK, each mapped to gains (or log2
+    gains) only when read.
 
     The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
     their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
@@ -174,7 +180,7 @@ class StrongestFirst:
         return size
 
     def _placements(self):
-        """Chunks of the ascending v_(i)."""
+        """The ascending v_(i), drawn a chunk at a time, in FIRST_CHUNK slices."""
         below, gap = 0.0, 1.0
         while self._drawn < self.count:
             size = self._next_size()
@@ -190,9 +196,10 @@ class StrongestFirst:
                 np.maximum(v, _NEAREST, out=v)
             if v[-1] > 1.0:
                 np.minimum(v, 1.0, out=v)
-            yield v
+            for start in range(0, size, FIRST_CHUNK):
+                yield v[start:start + FIRST_CHUNK]
 
-    # Both map each chunk in place: a suspended reader holds one array.
+    # Both map each slice in place: a suspended reader holds one chunk.
     def gain_chunks(self):
         for v in self._placements():
             yield np.power(v, -self._half_exp, out=v)
@@ -205,8 +212,8 @@ class StrongestFirst:
             yield v
 
     def drain(self):
-        """Make the draws of every chunk not yet read, without the arithmetic,
-        so ``rng`` ends where reading every chunk would leave it. A generator
+        """Make the draws of every chunk not yet drawn, without the arithmetic,
+        so ``rng`` ends where reading every slice would leave it. A generator
         fills an array one value after another, so the exponentials can go
         through a FIRST_CHUNK buffer."""
         buffer = np.empty(min(FIRST_CHUNK, self.count - self._drawn))

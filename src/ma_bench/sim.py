@@ -33,6 +33,8 @@ from . import uncoordinated as un
 
 # Trials per substream. Fixed, so the results do not depend on the worker count.
 BLOCK_TRIALS = 64
+# Block indices are substream keys, which lie in [0, 2**32) (trial_rng).
+MAX_TRIALS = BLOCK_TRIALS << 32
 # int64 values a chunk of the collision step holds at once (96 KB), or one
 # slot's worth if more. glibc keeps 128 KB atop the heap when it trims it,
 # so every chunk reuses resident pages; larger chunks can, depending on the
@@ -171,13 +173,18 @@ def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficMode
     return TrialCounts(np.concatenate(arrivals), np.concatenate(served))
 
 
+def _check_trials(trials: int):
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}] (BLOCK_TRIALS * 2**32: "
+                         f"block indices are substream keys), got {trials}")
+
+
 def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
                    master_seed: int, point_index: int, trials: int) -> TrialCounts:
     """Per-trial counts of ``trials`` slots at one load, from the substreams
     of (master_seed, point_index). Uncoordinated schemes need a concrete
     design (see resolve_design)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if config.family == UNCOORDINATED and config.design is None:
         raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
     return _run_blocks(config, params, traffic, master_seed, point_index, trials,
@@ -224,8 +231,7 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     dies raises ChildProcessError.
     """
     grid = _checked_grid(lambda_grid)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -565,3 +566,55 @@ def test_single_rate_figure_is_the_one_rate_sweep_row(command, scheme, rate, col
     (row,) = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
     assert [table[column], table[column + 1]] == [f"{float(row[3]):.3f}",
                                                   f"{float(row[4]):.3f}"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
+def test_non_finite_rate_is_one_error_line(key, value, tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(["sweep", flag(key), value, "--lambda-steps", "2",
+                            "--schemes", "uncoordinated-fdma", "--mode", "analytic",
+                            "--output", str(out_path)], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0], err
+    assert not out_path.exists()
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(**{key: float(value)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--trials", "100000000000000000000", "--schemes", "uncoordinated-tdma",
+     "--mode", "montecarlo", "--lambda-steps", "1"],
+    ["uncoordinated", "--arrival-rate", "1000", "--trials", "1000000000000000000000",
+     "--schemes", "uncoordinated-tdma"],
+], ids=lambda argv: argv[0])
+def test_trials_past_the_substream_keys_are_one_error_line(argv, tmp_path, monkeypatch,
+                                                           capsys):
+    # rejected before any block runs: a run of 10**18 blocks never returns
+    def no_blocks(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(argv + ["--output", str(out_path)], capsys)
+    assert (status, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: trials must lie in"), err
+    assert not out_path.exists()
+
+
+# sha256 of the coordinated sweep below, recorded before admission was
+# certified: counts and generator end states, hence every byte, are unchanged.
+COORDINATED_GOLDEN = "a0c8b7635c0181d4328ca6b667d1af37420e60323967ab6a09986162efb553da"
+
+
+def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", "--schemes",
+                          "coordinated-fdma,coordinated-tdma,coordinated-noma",
+                          "--lambda-min", "5000", "--lambda-max", "20000",
+                          "--lambda-steps", "4", "--trials", "64", "--master-seed", "0",
+                          "--output", str(out_path)], capsys)
+    assert status == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == COORDINATED_GOLDEN

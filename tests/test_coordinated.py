@@ -366,24 +366,31 @@ def test_greedy_prefix_is_maximal(params):
 
 
 @st.composite
-def admissions(draw):
-    """A parameter set, a placed device set of up to 6000 devices (three
-    demand slices) and whether minima are enforced. The spectral load is
-    drawn so that the cell-edge TDMA shares of all n devices fill 0.2 to 3
-    slots: admission then ends at a misfit, on the cell-edge bound before
-    the first slice or after some, or by reading every device. Overloaded
-    sets give each device that load, so FDMA has infeasible lanes."""
-    n = draw(st.integers(0, 6000))
+def slot_parameters(draw, most_devices):
+    """A device count of up to ``most_devices`` and a parameter set. The
+    spectral load is drawn so that the cell-edge TDMA shares of all n
+    devices fill 0.2 to 3 slots: admission then ends at a misfit, on the
+    cell-edge bound before the first slice or after some, or by reading
+    every device. Overloaded sets give each device that load, so FDMA has
+    infeasible lanes."""
+    n = draw(st.integers(0, most_devices))
     band = draw(st.floats(1e4, 1e7))
     slot = draw(st.floats(1e-2, 10.0))
     snr = draw(st.floats(1e-3, 1e3))
     load = draw(st.floats(0.2, 3.0)) * math.log2(1.0 + snr)
     if not draw(st.booleans()):   # overloaded?
         load /= max(n, 1)
-    params = SystemParams(
+    return n, SystemParams(
         bandwidth_hz=band, slot_s=slot, payload_bits=band * slot * load, ref_snr=snr,
         pathloss_exp=draw(st.floats(2.5, 8.0)), min_slot_s=slot * draw(st.floats(1e-6, 1.0)),
         min_subchannel_hz=band * draw(st.floats(1e-6, 1.0)))
+
+
+@st.composite
+def admissions(draw):
+    """A slot_parameters set, a placed device set of up to 6000 devices
+    (three demand slices) and whether minima are enforced."""
+    n, params = draw(slot_parameters(6000))
     devices = make_device_set(n, params, trial_rng(draw(st.integers(0, 2 ** 32 - 1))))
     return params, devices, draw(st.booleans())
 
@@ -396,6 +403,71 @@ def test_admitted_counts_equal_the_sequential_sum(case):
         expected = sequential_count(devices.gains, params, getattr(params, budget),
                                     getattr(params, minimum) if enforce else 0.0, demand)
         assert count(devices, params, enforce) == expected
+
+
+def exact_end_state(n, pathloss_exp, seed, count):
+    """The generator state the exact kernel leaves after admitting ``count``
+    of n StrongestFirst devices: every chunk drawn through the slice holding
+    the first misfit, all of them when every device fits."""
+    rng, read = trial_rng(seed), 0
+    for gains in StrongestFirst(n, pathloss_exp, rng).gain_chunks():
+        read += gains.size
+        if read > count:
+            break
+    return rng.bit_generator.state
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(slot_parameters(20_000), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
+    # up to 20,000 devices: four chunks, ten slices
+    n, params = case
+    gains = np.concatenate([np.empty(0), *StrongestFirst(
+        n, params.pathloss_exp, trial_rng(seed)).gain_chunks()])
+    for count, budget, minimum, demand in GREEDY:
+        expected = sequential_count(gains, params, getattr(params, budget),
+                                    getattr(params, minimum) if enforce else 0.0, demand)
+        rng = trial_rng(seed)
+        assert count(StrongestFirst(n, params.pathloss_exp, rng), params, enforce) == expected
+        assert rng.bit_generator.state == exact_end_state(n, params.pathloss_exp, seed,
+                                                          expected)
+
+
+def record_certified(monkeypatch):
+    """Every _certified_count result from now on: None where the enclosure
+    could not decide and the exact sum ran."""
+    results, certified = [], coordinated._certified_count
+    monkeypatch.setattr(coordinated, "_certified_count",
+                        lambda *args: results.append(certified(*args)) or results[-1])
+    return results
+
+
+@pytest.mark.parametrize("count, budget, minimum, demand", GREEDY, ids=("fdma", "tdma"))
+def test_budget_on_an_exact_running_sum_takes_the_exact_sum(count, budget, minimum, demand,
+                                                            monkeypatch):
+    # every running sum of these padded cell-edge sets lies within a few ulps
+    # of the limit, far inside the enclosure: the exact sum decides
+    n = 997
+    gains = np.ones(n)
+    results = record_certified(monkeypatch)
+    for params in padded_cell_edge_cases(budget, minimum, n):
+        pad = getattr(params, minimum)
+        expected = sequential_count(gains, params, getattr(params, budget), pad, demand)
+        assert count(DeviceSet(gains), params, enforce_minimum=True) == expected
+    assert results == [None] * 7
+
+
+@pytest.mark.parametrize("count", [fdma_admitted_count, tdma_admitted_count])
+def test_default_slots_need_no_exact_sum(count, monkeypatch):
+    params = SystemParams()
+    results = record_certified(monkeypatch)
+    slots = [(arrivals, seed, enforce) for arrivals in (5000, 10_000, 15_000, 20_000)
+             for seed in range(4 if count is fdma_admitted_count else 12)
+             for enforce in (False, True)]
+    for arrivals, seed, enforce in slots:
+        devices = StrongestFirst(arrivals, params.pathloss_exp, trial_rng(seed, arrivals))
+        count(devices, params, enforce)
+    assert len(results) == len(slots) and None not in results
 
 
 def padded_cell_edge_cases(budget, minimum, n):
@@ -457,10 +529,11 @@ def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch)
     # made: the generator ends where reading every chunk would leave it.
     params = SystemParams(payload_bits=payload)
     solved = []
-    per_device = "min_bandwidth_array" if count is fdma_admitted_count else "_min_time_array"
-    solver = getattr(coordinated, per_device)
-    monkeypatch.setattr(coordinated, per_device,
-                        lambda gains, p: solved.append(gains.size) or solver(gains, p))
+    solvers = (("min_bandwidth_array", "_bracketed_widths") if count is fdma_admitted_count
+               else ("_min_time_array",))
+    for name in solvers:   # every demand solver admission may call
+        monkeypatch.setattr(coordinated, name, lambda gains, p, solver=getattr(coordinated, name):
+                            solved.append(gains.size) or solver(gains, p))
     rng, twin = trial_rng(21, arrivals), trial_rng(21, arrivals)
     assert count(StrongestFirst(arrivals, params.pathloss_exp, rng), params) == arrivals
     assert sum(solved) < arrivals

@@ -78,7 +78,17 @@ def test_strongest_first_chunks_double_and_descend(params):
     source = StrongestFirst(20_000, params.pathloss_exp, trial_rng(3, 1))
     chunks = list(source.gain_chunks())
     assert len(source) == 20_000
-    assert [c.size for c in chunks] == [2048, 4096, 8192, 20_000 - 14_336]
+    # chunks of 2048, 4096, 8192 and the 5664 left, read in slices of 2048
+    assert [c.size for c in chunks] == [2048] * 9 + [20_000 - 18_432]
+    # a chunk is drawn whole when its first slice is read, and only then
+    rng, reference = trial_rng(3, 1), trial_rng(3, 1)
+    slices = StrongestFirst(20_000, params.pathloss_exp, rng).gain_chunks()
+    for size, drawn in ((2048, 2048), (4096, 6144)):
+        next(slices)
+        reference.standard_exponential(size)
+        reference.standard_gamma(20_000 + 1 - drawn)
+    next(slices)
+    assert rng.bit_generator.state == reference.bit_generator.state
     gains = np.concatenate(chunks)
     assert np.all(np.diff(gains) <= 0) and gains[-1] >= 1.0
     log2_gains = np.concatenate(list(StrongestFirst(

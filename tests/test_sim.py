@@ -252,6 +252,21 @@ def test_sweep_validates_inputs(params):
             run_sweep(config, params, [100.0], 10, SEED, workers=workers)
 
 
+def test_trials_past_the_substream_keys_are_rejected_up_front(params, monkeypatch):
+    # block indices are substream keys in [0, 2**32): at most BLOCK_TRIALS * 2**32
+    def no_blocks(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
+    assert sim.MAX_TRIALS == BLOCK_TRIALS * 2 ** 32
+    config = SchemeConfig("coordinated", "tdma")
+    for trials in (sim.MAX_TRIALS + 1, 10 ** 21):
+        with pytest.raises(ValueError, match="trials"):
+            run_sweep(config, params, [100.0], trials, SEED)
+        with pytest.raises(ValueError, match="trials"):
+            simulate_point(config, params, TrafficModel(100.0), SEED, 0, trials)
+
+
 def test_random_access_mean_tracks_analytic(params):
     # smoke-scale version of the acceptance panel
     lam = 2000.0
