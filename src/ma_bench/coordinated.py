@@ -16,11 +16,11 @@ as far as the kernel reads.
 
 The FDMA and TDMA counts are those of one sequential sum of the exact
 demands (min_bandwidth_array's walked widths, the closed-form time shares),
-which fdma_kmax and tdma_kmax also allocate. The count kernels certify that
-count from cheaper work instead: FDMA widths from Newton steps alone, each
+which fdma_kmax and tdma_kmax also allocate. One scan certifies that count
+from cheaper work first: FDMA widths from Newton steps alone, each
 bracketed to a proven relative error, and pairwise sums, inside a proven
-rounding enclosure of the exact sum; where the enclosure cannot decide a
-count, the exact sum does.
+rounding enclosure of the exact sum. Where the enclosure cannot decide a
+count, the same scan at zero slack is the exact sum.
 """
 
 from __future__ import annotations
@@ -245,13 +245,16 @@ def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -
 
 
 _U = 2.0 ** -53   # unit roundoff
-_BLOCK = 64       # devices per pairwise block sum in a crossing slice
 
 
-def _certified_count(devices, parts, read: list, params: SystemParams, limit: float,
-                     minimum: float, edge: float, fast, error: float) -> int | None:
-    """The exact count of _admitted_count from cheap demands and sums, or
-    None where they cannot decide it. Slices read are appended to ``read``.
+def _scan(devices, parts, read: list, params: SystemParams, per_device, limit: float,
+          minimum: float, edge: float, slack: float) -> int | None:
+    """The count of _admitted_count from the ``per_device`` demands of the
+    slices in ``parts``, each appended to ``read`` as it is read, or None
+    where a nonzero ``slack`` cannot decide it. A slice whose pairwise total
+    passes ``fits`` is summed sequentially from the carried total. At slack
+    0 every slice is summed that way and fits = misses = limit, so the scan
+    is the exact kernel: one sequential float sum across slices.
 
     Let S_k be the exact kernel's sequential float sum of the first k exact
     demands d_i, and R_k any float sum (pairwise, blocked, in any order) of
@@ -262,19 +265,18 @@ def _certified_count(devices, parts, read: list, params: SystemParams, limit: fl
     1 +- g of their exact sums (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sec. 4.2), and for g, error <= 2**-12
         R_k (1 - e) <= S_k <= R_k (1 + e),   e = 3 g + 2 error.
-    With hi, lo = 1 +- (e + 4 u) as floats and a limit in [2**-1000,
-    2**1000], fits = fl(limit / hi) and misses = fl(limit / lo) are normal,
-    fits (1 + e) <= limit and misses (1 - e) >= limit. So R_k <= fits proves
-    S_k <= limit, and R_k > misses proves S_k > limit, also where R_k is inf:
-    an inf demand makes S_k inf too, and an overflowed sum puts S_k above
-    2**1023 (1 - e). S_k only grows, so the count is the k where the first
-    proof ends if the second holds for k + 1. The cell-edge test reads the
-    upper end, one float above fl(R_k hi) >= S_k, so it fires only where the
-    exact test would fire too.
+    A slice summed sequentially onto a carried R_j gives another of these
+    float sums. With hi, lo = 1 +- slack, slack = e + 4 u, as floats and a
+    limit in [2**-1000, 2**1000], fits = fl(limit / hi) and misses = fl(limit / lo)
+    are normal, fits (1 + e) <= limit and misses (1 - e) >= limit. So R_k <=
+    fits proves S_k <= limit, and R_k > misses proves S_k > limit, also
+    where R_k is inf: an inf demand makes S_k inf too, and an overflowed sum
+    puts S_k above 2**1023 (1 - e). S_k only grows, so the count is the k
+    where the first proof ends if the second holds for k + 1. The cell-edge
+    test reads the upper end, one float above fl(R_k hi) >= S_k, so it fires
+    only where the exact test would fire too.
     """
     n = len(devices)
-    gamma = n * _U / (1.0 - n * _U)
-    slack = 3.0 * gamma + 2.0 * error + 4.0 * _U
     hi = 1.0 + slack
     fits, misses = limit / hi, limit / (1.0 - slack)
     total, done = 0.0, 0
@@ -283,36 +285,19 @@ def _certified_count(devices, parts, read: list, params: SystemParams, limit: fl
             devices.drain()
             return n
         read.append(next(parts))
-        demand = fast(read[-1], params)
+        demand = per_device(read[-1], params)
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
-        after = total + demand.sum()
+        after = total + demand.sum() if slack else math.inf
         if after > fits:
-            fit = _certified_crossing(demand, total, fits, misses)
-            return None if fit is None else done + fit
+            running = np.concatenate(([total], demand))
+            running.cumsum(out=running)
+            fit = int(running[1:].searchsorted(fits, side="right"))
+            if fit < demand.size:
+                return done + fit if running[fit + 1] > misses else None
+            after = float(running[-1])
         total, done = after, done + demand.size
     return n
-
-
-def _certified_crossing(demand: np.ndarray, total: float, fits: float,
-                        misses: float) -> int | None:
-    """The devices of ``demand`` that fit after ``total`` if the enclosure
-    decides it: pairwise block sums locate the block where the running sum
-    leaves the certain fits, and a sequential sum inside that block the
-    device, which must then be a certain miss."""
-    blocks = np.add.reduceat(demand, np.arange(0, demand.size, _BLOCK))
-    blocks.cumsum(out=blocks)
-    blocks += total
-    block = int(blocks.searchsorted(fits, side="right"))
-    if block == blocks.size:
-        return None
-    first = block * _BLOCK
-    running = demand[first:first + _BLOCK].cumsum()
-    running += blocks[block - 1] if block else total
-    fit = int(running.searchsorted(fits, side="right"))
-    if fit < running.size and running[fit] > misses:
-        return first + fit
-    return None
 
 
 def _admitted_count(devices, params: SystemParams, budget: float, minimum: float,
@@ -326,10 +311,11 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     it. The count is that of one sequential float sum of the exact demands
     across slices, so it does not depend on where the slices split.
 
-    Certified: the count is decided from ``fast`` demands, within a relative
-    ``error`` of the exact ones, and pairwise sums, inside a proven rounding
-    enclosure (_certified_count). Where the enclosure cannot decide it, the
-    slices read so far, then the rest, are summed exactly.
+    One scan (_scan) decides it: first over ``fast`` demands, within a
+    relative ``error`` of the exact ones, inside a proven rounding
+    enclosure; where that cannot decide it, the exact kernel, the same scan
+    at zero slack, sums the exact demands of the slices read so far, then
+    of the rest.
 
     Every gain is >= 1, so no unread device needs more than the cell-edge
     demand. Once the m unread devices fit at that demand, all n do: the rest
@@ -343,25 +329,13 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
     parts, read = iter(devices.gain_chunks()), []
     if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
-        count = _certified_count(devices, parts, read, params, limit, minimum, edge, fast, error)
+        gamma = n * _U / (1.0 - n * _U)
+        count = _scan(devices, parts, read, params, fast, limit, minimum, edge,
+                      3.0 * gamma + 2.0 * error + 4.0 * _U)
         if count is not None:
             return count
-    used, done = 0.0, 0
-    parts = itertools.chain(read, parts)
-    while done < n:
-        if _edge_admits_the_rest(used, n - done, edge, limit):
-            devices.drain()
-            return n
-        demand = exact(next(parts), params)
-        if minimum > 0.0:
-            demand = np.maximum(demand, minimum)
-        running = np.concatenate(([used], demand))
-        running.cumsum(out=running)
-        fit = int(running[1:].searchsorted(limit, side="right"))
-        if fit < demand.size:
-            return done + fit
-        used, done = float(running[-1]), done + demand.size
-    return n
+    return _scan(devices, itertools.chain(read, parts), [], params, exact, limit, minimum,
+                 edge, 0.0)
 
 
 def fdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,

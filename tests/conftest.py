@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from ma_bench import SystemParams
+
+# Property tests draw the same examples on every run and have no time limit;
+# each test sets only its own max_examples.
+settings.register_profile("ma-bench", deadline=None, derandomize=True)
+settings.load_profile("ma-bench")
 
 
 @pytest.fixture

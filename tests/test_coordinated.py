@@ -200,7 +200,7 @@ def descending_gains(draw):
     return params, np.maximum(top * 10.0 ** -np.cumsum([0.0, *steps]), 1.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(descending_gains())
 def test_min_bandwidth_non_increasing_in_gain(case):
     # each lane is solved on its own, so only the maths orders adjacent lanes
@@ -395,7 +395,7 @@ def admissions(draw):
     return params, devices, draw(st.booleans())
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(admissions())
 def test_admitted_counts_equal_the_sequential_sum(case):
     params, devices, enforce = case
@@ -417,7 +417,7 @@ def exact_end_state(n, pathloss_exp, seed, count):
     return rng.bit_generator.state
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(slot_parameters(20_000), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
     # up to 20,000 devices: four chunks, ten slices
@@ -434,26 +434,44 @@ def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
 
 
 def record_certified(monkeypatch):
-    """Every _certified_count result from now on: None where the enclosure
-    could not decide and the exact sum ran."""
-    results, certified = [], coordinated._certified_count
-    monkeypatch.setattr(coordinated, "_certified_count",
-                        lambda *args: results.append(certified(*args)) or results[-1])
+    """Every certified scan's result from now on (a scan at slack > 0): None
+    where the enclosure could not decide and the exact sum ran."""
+    results, scan = [], coordinated._scan
+
+    def recorded(*args):
+        result = scan(*args)
+        if args[-1] > 0.0:
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(coordinated, "_scan", recorded)
     return results
 
 
-@pytest.mark.parametrize("count, budget, minimum, demand", GREEDY, ids=("fdma", "tdma"))
+# (devices, base parameters, chunk cuts or None for a DeviceSet): with 100-bit
+# packets the padding, not TDMA's 1 ms cell-edge share, sets 5,000 demands
+EXACT_SUMS = ((997, SystemParams(), None),
+              (5000, SystemParams(payload_bits=100.0), None),
+              (5000, SystemParams(payload_bits=100.0), (700, 2048, 3001)))
+
+
+@pytest.mark.parametrize(
+    "count, budget, minimum, demand, n, base, cuts",
+    [(*greedy, *case) for case in EXACT_SUMS for greedy in GREEDY],
+    ids=("fdma", "tdma", "fdma-5000", "tdma-5000", "fdma-5000-chunked", "tdma-5000-chunked"))
 def test_budget_on_an_exact_running_sum_takes_the_exact_sum(count, budget, minimum, demand,
-                                                            monkeypatch):
+                                                            n, base, cuts, monkeypatch):
     # every running sum of these padded cell-edge sets lies within a few ulps
-    # of the limit, far inside the enclosure: the exact sum decides
-    n = 997
+    # of the limit, far inside the enclosure: the exact sum decides, carrying
+    # its total across slices and replaying every slice already read
     gains = np.ones(n)
     results = record_certified(monkeypatch)
-    for params in padded_cell_edge_cases(budget, minimum, n):
+    for params in padded_cell_edge_cases(budget, minimum, n, base):
         pad = getattr(params, minimum)
+        assert demand(gains[:1], params)[0] < pad   # every demand is the padding
         expected = sequential_count(gains, params, getattr(params, budget), pad, demand)
-        assert count(DeviceSet(gains), params, enforce_minimum=True) == expected
+        source = DeviceSet(gains) if cuts is None else Chunked(gains, cuts)
+        assert count(source, params, enforce_minimum=True) == expected
     assert results == [None] * 7
 
 
@@ -470,11 +488,11 @@ def test_default_slots_need_no_exact_sum(count, monkeypatch):
     assert len(results) == len(slots) and None not in results
 
 
-def padded_cell_edge_cases(budget, minimum, n):
-    """Parameter sets, by ascending minimum, under which n cell-edge devices,
-    each padded up to the minimum, sum sequentially to within a few ulps of
-    the budget limit: the first four fit, the last three do not."""
-    base = SystemParams()
+def padded_cell_edge_cases(budget, minimum, n, base):
+    """Parameter sets from ``base``, by ascending minimum, under which n
+    cell-edge devices, each padded up to the minimum, sum sequentially to
+    within a few ulps of the budget limit: the first four fit, the last three
+    do not."""
     limit = getattr(base, budget) * (1 + 1e-9)
 
     def total(pad):
@@ -497,7 +515,7 @@ def padded_cell_edge_cases(budget, minimum, n):
 def test_cell_edge_bound_at_the_budget_edge(count, budget, minimum, demand):
     n = 997
     gains = np.ones(n)
-    cases = padded_cell_edge_cases(budget, minimum, n)
+    cases = padded_cell_edge_cases(budget, minimum, n, SystemParams())
     counts = []
     for params in cases:
         pad = getattr(params, minimum)
@@ -607,7 +625,7 @@ def stacks(draw):
     return params, gains, cuts
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(stacks())
 def test_noma_closed_form_equals_running_minimum(case):
     params, gains, cuts = case
@@ -688,7 +706,7 @@ def test_kmax_monotone_in_resources(kmax):
     assert kmax(devices, SystemParams(payload_bits=6000.0)).admitted <= reference
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(admissions(), st.sampled_from(["bandwidth_hz", "slot_s", "ref_snr"]),
        st.floats(1.001, 8.0))
 def test_admitted_counts_monotone_in_resources(case, resource, factor):

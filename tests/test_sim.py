@@ -73,7 +73,7 @@ def test_trials_are_reproducible(params):
     assert np.array_equal(d.served[:BLOCK_TRIALS], a.served[:BLOCK_TRIALS])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(scheme=st.sampled_from(["fdma", "tdma"]), access_prob=st.floats(0.0, 1.0),
        partitions=st.integers(1, 2000), lam=st.floats(0.0, 3e4))
 def test_served_bounded_by_arrivals_and_partitions(scheme, access_prob, partitions, lam):

@@ -288,7 +288,7 @@ def bisected_feasible_fraction(params, active, rule):
     return hi
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(log_ref_snr=st.floats(-3.0, 3.0), pathloss_exp=st.floats(2.0, 8.0, exclude_min=True),
        log_payload=st.floats(2.0, 4.5), log_lam=st.floats(0.0, 9.0),
        rule=st.sampled_from([NOMINAL, REDERIVED]))
@@ -463,7 +463,7 @@ def test_optimizer_memory_stays_bounded_at_a_million_partitions(scheme, payload_
     assert (design.partitions, design.access_prob) == unchunked_design(scheme, fine, traffic)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.sampled_from(["fdma", "tdma"]), st.integers(65_537, 300_000),
        st.floats(-6.0, 0.0), st.floats(1e-3, 1e3), st.floats(2.01, 8.0),
        st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
@@ -527,7 +527,7 @@ def params_and_load(draw):
     return params, TrafficModel(draw(st.floats(0.0, 1e6)))
 
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY_SETTINGS = settings(max_examples=150)
 
 
 @PROPERTY_SETTINGS
