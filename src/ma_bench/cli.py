@@ -286,19 +286,6 @@ def _cmd_cap(config: RunConfig, arrival_rate: float) -> int:
     return 0
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, built once and shared as a parent."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    for key, parse in _KEY_PARSERS.items():
-        flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
-        if parse is _parse_bool:
-            parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-        else:   # parsed with the file values, so a bad one is an error: line
-            parser.add_argument(flag, dest=key)
-    return parser
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     file_text = ""
     if args.config:
@@ -311,19 +298,30 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="ma-bench",
         description="Throughput models for coordinated and uncoordinated "
                     "multiple access in M2M uplinks")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    # Only the named command gets its flags: the top-level parser takes no
+    # value, so a command, if any is parsed, is the first token.
     for name, help_text in (
             ("coordinated", "single-rate Monte Carlo summary of full-CSI schemes"),
             ("uncoordinated", "single-rate design point and analysis"),
             ("sweep", "throughput-versus-arrival-rate CSV"),
             ("cap", "closed-form quantities for scripting")):
-        sub = subparsers.add_parser(name, help=help_text, parents=[common])
-        if name in ("coordinated", "uncoordinated", "cap"):
+        sub = subparsers.add_parser(name, help=help_text)
+        if argv[:1] != [name]:
+            continue
+        sub.add_argument("--config", metavar="PATH", help="key=value config file")
+        for key, parse in _KEY_PARSERS.items():
+            flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+            else:   # parsed with the file values, so a bad one is an error: line
+                sub.add_argument(flag, dest=key)
+        if name != "sweep":
             sub.add_argument("--arrival-rate", default=None,
                              help="packets per second (default: lambda_min)")
 

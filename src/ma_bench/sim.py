@@ -260,11 +260,11 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         finally:
             executor.shutdown(cancel_futures=True)
 
-    rows = []
+    rows, digest = [], params.digest()
     for lam, counts in zip(grid, served):
         stats = aggregate(counts, params)
         rows.append(SweepRow(config.tag, lam, trials, stats.mean_throughput_pps,
-                             stats.ci95_halfwidth_pps, master_seed, params.digest()))
+                             stats.ci95_halfwidth_pps, master_seed, digest))
     return rows
 
 
@@ -280,12 +280,12 @@ def analytic_rows(config: SchemeConfig, params: SystemParams, lambda_grid,
     if config.family != UNCOORDINATED:
         raise ValueError(f"{config.tag}: coordinated schemes have no closed form; "
                          "use mode=montecarlo or mode=both")
-    rows = []
+    rows, digest = [], params.digest()
     for lam in _checked_grid(lambda_grid):
         traffic = TrafficModel(lam)
         concrete = resolve_design(config, params, traffic)
         analysis = un.uncoordinated_throughput(concrete.design, params, traffic)
         rows.append(SweepRow(concrete.tag + "-analytic", lam, 1,
                              analysis.expected_success / params.slot_s, 0.0,
-                             master_seed, params.digest()))
+                             master_seed, digest))
     return rows

@@ -18,6 +18,7 @@ in ``sim`` provides the exact counterpart).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -232,6 +233,21 @@ def max_partitions(scheme: str, params: SystemParams) -> int:
     return max(1, int(ratio))
 
 
+@functools.lru_cache(maxsize=2)
+def _load_free_terms(scheme: str, params: SystemParams, start: int, stop: int):
+    """The terms of optimize_design's partition counts start..stop-1 that do
+    not depend on the load: transmit probabilities and slotted-ALOHA peaks,
+    read-only, and the last count's log gain threshold."""
+    n = np.arange(start, stop, dtype=float)
+    log_threshold = _log_gain_threshold(scheme, n, params)
+    tail = _gain_tail_probability(log_threshold, params.pathloss_exp)
+    peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
+    if start == 1:
+        peak[0] = 1.0
+    tail.flags.writeable = peak.flags.writeable = False
+    return tail, peak, log_threshold[-1]
+
+
 def optimize_design(scheme: str, params: SystemParams,
                     traffic: TrafficModel) -> UncoordinatedDesign:
     """Access probability and partition count maximizing expected successes.
@@ -243,18 +259,18 @@ def optimize_design(scheme: str, params: SystemParams,
     N = 1). So the best access probability is 1 while A * p_tx <= m*, and
     m* / (A * p_tx) beyond it. Ties break toward fewer partitions; with
     nothing to deliver (zero load) the design is N = 1, access probability 0.
+    p_tx and m* do not depend on the load: they are cached per (scheme,
+    params, chunk), two chunks at most, so a sweep computes them once.
     """
     if scheme not in (FDMA, TDMA):
         raise ValueError("optimize_design covers fdma and tdma only")
     top, active = max_partitions(scheme, params), traffic.arrival_rate * params.slot_s
     best, best_success, best_feasible, best_peak = 1, -math.inf, 0.0, 1.0
     for start in range(1, top + 1, _PARTITION_CHUNK):
-        n = np.arange(start, min(start + _PARTITION_CHUNK, top + 1), dtype=float)
-        log_threshold = _log_gain_threshold(scheme, n, params)
-        feasible = active * _gain_tail_probability(log_threshold, params.pathloss_exp)
-        peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
-        if start == 1:
-            peak[0] = 1.0
+        stop = min(start + _PARTITION_CHUNK, top + 1)
+        tail, peak, last_log_threshold = _load_free_terms(scheme, params, start, stop)
+        n = np.arange(start, stop, dtype=float)
+        feasible = active * tail
         load = np.minimum(feasible, peak)
         success = load * (1.0 - collision_probability(load, n))
         i = int(np.argmax(success))
@@ -268,7 +284,7 @@ def optimize_design(scheme: str, params: SystemParams,
         # log threshold may round a few ulps of its terms (y, log(N ref_snr))
         # below this one's, so the load must be 0 at half this log, too.
         if feasible[-1] == 0.0 and active * _gain_tail_probability(
-                0.5 * log_threshold[-1], params.pathloss_exp) == 0.0:
+                0.5 * last_log_threshold, params.pathloss_exp) == 0.0:
             break
     if not best_success > 0.0:
         return UncoordinatedDesign(scheme, access_prob=0.0, partitions=1)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -5,6 +6,7 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -266,6 +268,56 @@ def test_unknown_subcommand_fails_with_usage(capsys):
 def test_missing_subcommand_fails(capsys):
     status, _, _ = run([], capsys)
     assert status != 0
+
+
+COMMAND_HELP = (("coordinated", "single-rate Monte Carlo summary of full-CSI schemes"),
+                ("uncoordinated", "single-rate design point and analysis"),
+                ("sweep", "throughput-versus-arrival-rate CSV"),
+                ("cap", "closed-form quantities for scripting"))
+
+
+def reference_parser():
+    """The parser main once built: every subcommand takes every flag from
+    one shared parent, whichever command runs."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="key=value config file")
+    for field_ in KEY_FIELDS:
+        if field_.type == "bool":
+            common.add_argument(flag(field_.name), dest=field_.name,
+                                action=argparse.BooleanOptionalAction)
+        else:
+            common.add_argument(flag(field_.name), dest=field_.name)
+    parser = argparse.ArgumentParser(
+        prog="ma-bench",
+        description="Throughput models for coordinated and uncoordinated "
+                    "multiple access in M2M uplinks")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMAND_HELP:
+        sub = subparsers.add_parser(name, help=help_text, parents=[common])
+        if name != "sweep":
+            sub.add_argument("--arrival-rate", default=None,
+                             help="packets per second (default: lambda_min)")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], *([command, "-h"] for command, _ in COMMAND_HELP),
+    ["frobnicate"], ["--", "cap"], ["--trials", "5", "sweep"],
+    ["cap", "--bandwidth-mhz", "1"], ["cap", "--trials"],
+    ["coordinated", "--enforce-min", "--trials", "20"],
+    ["cap", "--no-enforce-minimum"], ["sweep", "--arrival-rate", "1000"],
+    ["cap", "--arrival-rate", "1000"],
+], ids=" ".join)
+def test_main_matches_the_shared_parent_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("MA_BENCH_SEED", raising=False)
+    parse_args = argparse.ArgumentParser.parse_args
+    reference = reference_parser()
+    # main as it runs with the reference parser's result in place of its own
+    with mock.patch.object(argparse.ArgumentParser, "parse_args",
+                           lambda self, args=None, namespace=None: parse_args(reference, args)):
+        expected = run(argv, capsys)
+    assert run(argv, capsys) == expected
 
 
 def test_cap_prints_capacity_bound(capsys):

@@ -482,6 +482,38 @@ def test_optimizer_stop_at_zero_feasible_load_keeps_the_design(
     assert optimize_design(scheme, params, traffic) == unstopped
 
 
+@settings(max_examples=40)
+@given(st.sampled_from(["fdma", "tdma"]), st.integers(65_537, 200_000),
+       st.floats(-6.0, 0.0), st.floats(1e-3, 1e3),
+       st.floats(0.0, 1e7), st.floats(0.0, 1e7))
+def test_optimizer_term_cache_changes_no_design(scheme, partitions, log_load, ref_snr,
+                                                warm_up, lam):
+    # two to four chunks: the warm call finds some, all or none of its
+    # chunks' terms left in the cache by a call at another load
+    params = SystemParams(payload_bits=1e6 * 10.0 ** log_load, ref_snr=ref_snr,
+                          min_subchannel_hz=1e6 / partitions, min_slot_s=1.0 / partitions)
+    traffic = TrafficModel(lam)
+    un._load_free_terms.cache_clear()
+    cold = optimize_design(scheme, params, traffic)
+    un._load_free_terms.cache_clear()
+    optimize_design(scheme, params, TrafficModel(warm_up))
+    assert optimize_design(scheme, params, traffic) == cold
+
+
+def test_optimizer_term_cache_is_read_only_and_holds_two_chunks(params):
+    un._load_free_terms.cache_clear()
+    for lam in (1000.0, 20000.0):
+        optimize_design("fdma", params, TrafficModel(lam))
+    assert un._load_free_terms.cache_info()[:2] == (1, 1)   # (hits, misses)
+    tail, peak, _ = un._load_free_terms("fdma", params, 1, 1001)
+    for terms in (tail, peak):
+        with pytest.raises(ValueError, match="read-only"):
+            terms[0] = 0.0
+    fine = SystemParams(payload_bits=10.0, min_subchannel_hz=1.0, min_slot_s=1e-6)
+    optimize_design("tdma", fine, TrafficModel(1e6))
+    assert un._load_free_terms.cache_info().currsize <= 2
+
+
 def test_optimizer_low_load_keeps_full_access(params):
     design = optimize_design("fdma", params, TrafficModel(5.0))
     assert design.access_prob == 1.0
