@@ -17,6 +17,7 @@ output path.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -297,36 +298,35 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return parse_config(file_text, {key: getattr(args, key) for key in _KEY_PARSERS})
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="ma-bench",
         description="Throughput models for coordinated and uncoordinated "
                     "multiple access in M2M uplinks")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    # Only the named command gets its flags: the top-level parser takes no
-    # value, so a command, if any is parsed, is the first token.
     for name, help_text in (
             ("coordinated", "single-rate Monte Carlo summary of full-CSI schemes"),
             ("uncoordinated", "single-rate design point and analysis"),
             ("sweep", "throughput-versus-arrival-rate CSV"),
             ("cap", "closed-form quantities for scripting")):
         sub = subparsers.add_parser(name, help=help_text)
-        if argv[:1] != [name]:
-            continue
         sub.add_argument("--config", metavar="PATH", help="key=value config file")
         for key, parse in _KEY_PARSERS.items():
             flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
-            if parse is _parse_bool:
-                sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-            else:   # parsed with the file values, so a bad one is an error: line
-                sub.add_argument(flag, dest=key)
+            # untyped: parsed with the file values, so a bad one is an error: line
+            sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction
+                             if parse is _parse_bool else "store")
         if name != "sweep":
             sub.add_argument("--arrival-rate", default=None,
                              help="packets per second (default: lambda_min)")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -79,16 +79,18 @@ def _overflow_widths(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     t solves log((e^t - 1) / t) = c = log(limit / payload), a sum of logs,
     and w = payload ln 2 / (slot_s t). The left side, a uniform variable's
     cumulant function, is convex, increasing and >= t / 2, so Newton steps
-    from t = 2c descend onto the root until no lane moves. c <= 0 is inf."""
+    from t = 2c descend onto the root until no lane moves. c <= 0 is inf; an
+    inf gain (its power overflowed) keeps t = inf and is width 0."""
     c = np.log(gains) + sum(map(math.log, (params.slot_s, params.ref_snr, params.bandwidth_hz))
                             ) - math.log(params.payload_bits * _LN2)
     t = np.where(c > 0.0, 2.0 * c, np.nan)   # NaN lanes never move
-    while True:
-        tail = -np.expm1(-t)
-        lower = t - (t + np.log(tail) - np.log(t) - c) / (1.0 / tail - 1.0 / t)
-        if not (lower < t).any():
-            break
-        t = np.fmin(lower, t)
+    with np.errstate(invalid="ignore"):   # t = inf steps to NaN (inf - inf): never moves
+        while True:
+            tail = -np.expm1(-t)
+            lower = t - (t + np.log(tail) - np.log(t) - c) / (1.0 / tail - 1.0 / t)
+            if not (lower < t).any():
+                break
+            t = np.fmin(lower, t)
     return np.nan_to_num(params.payload_bits * _LN2 / params.slot_s / t, nan=np.inf)
 
 

@@ -156,7 +156,9 @@ class StrongestFirst:
     first ``done`` devices draws k exponentials and one Gamma(n + 1 - done - k)
     for the rest of the sum, rescaled to the gap still left above v_(done) (a
     Dirichlet split), so every prefix has exactly the law of the sorted
-    placement (make_device_set). Gains are v**(-pathloss_exp / 2).
+    placement (make_device_set). Gains are v**(-pathloss_exp / 2); from
+    pathloss_exp = 2046 / 53 (~38.6) on, the strongest can overflow to inf,
+    which the kernels take as a device needing no resource.
 
     Chunks draw from ``rng`` as they are read: read each instance once.
     """
@@ -166,6 +168,9 @@ class StrongestFirst:
             raise ValueError("count must be >= 0")
         self.count = count
         self._half_exp = 0.5 * pathloss_exp
+        # Decided once, not per slice: the strongest gain, 2**(53 half_exp)
+        # at v = _NEAREST, is finite (below 2**1023) unless this holds.
+        self._may_overflow = 53 * self._half_exp >= 1023
         self._rng = rng
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
 
@@ -202,7 +207,12 @@ class StrongestFirst:
     # Both map each slice in place: a suspended reader holds one chunk.
     def gain_chunks(self):
         for v in self._placements():
-            yield np.power(v, -self._half_exp, out=v)
+            if self._may_overflow:   # an inf gain is expected: no warning
+                with np.errstate(over="ignore"):
+                    np.power(v, -self._half_exp, out=v)
+            else:
+                np.power(v, -self._half_exp, out=v)
+            yield v
 
     def log2_gain_chunks(self):
         """log2 of the gains, -(pathloss_exp / 2) * log2(v): no power taken."""

@@ -35,6 +35,9 @@ from . import uncoordinated as un
 BLOCK_TRIALS = 64
 # Block indices are substream keys, which lie in [0, 2**32) (trial_rng).
 MAX_TRIALS = BLOCK_TRIALS << 32
+# Largest mean numpy's Poisson sampler draws (int64 max less ten standard
+# deviations): a larger arrival_rate * slot_s cannot be simulated.
+POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 # int64 values a chunk of the collision step holds at once (96 KB), or one
 # slot's worth if more. glibc keeps 128 KB atop the heap when it trims it,
 # so every chunk reuses resident pages; larger chunks can, depending on the
@@ -179,12 +182,20 @@ def _check_trials(trials: int):
                          f"block indices are substream keys), got {trials}")
 
 
+def _check_load(traffic: TrafficModel, params: SystemParams):
+    mean = traffic.arrival_rate * params.slot_s   # the Poisson mean sample_arrivals draws
+    if mean > POISSON_MAX:
+        raise ValueError(f"arrival_rate * slot_s = {mean:g} exceeds {POISSON_MAX:g}, the "
+                         "largest Poisson mean numpy draws arrivals from")
+
+
 def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
                    master_seed: int, point_index: int, trials: int) -> TrialCounts:
     """Per-trial counts of ``trials`` slots at one load, from the substreams
     of (master_seed, point_index). Uncoordinated schemes need a concrete
     design (see resolve_design)."""
     _check_trials(trials)
+    _check_load(traffic, params)
     if config.family == UNCOORDINATED and config.design is None:
         raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
     return _run_blocks(config, params, traffic, master_seed, point_index, trials,
@@ -243,6 +254,7 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         traffic = TrafficModel(lam)
         runs.append(partial(_run_blocks, resolve_design(config, params, traffic), params,
                             traffic, master_seed, index, trials))
+        _check_load(traffic, params)
 
     if len(shares) == 1:
         served = _run_share(runs, shares[0])

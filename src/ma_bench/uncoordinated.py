@@ -239,7 +239,8 @@ def _load_free_terms(scheme: str, params: SystemParams, start: int, stop: int):
     not depend on the load: transmit probabilities and slotted-ALOHA peaks,
     read-only, and the last count's log gain threshold."""
     n = np.arange(start, stop, dtype=float)
-    log_threshold = _log_gain_threshold(scheme, n, params)
+    with np.errstate(over="ignore"):   # N ref_snr past the float range: threshold -inf
+        log_threshold = _log_gain_threshold(scheme, n, params)
     tail = _gain_tail_probability(log_threshold, params.pathloss_exp)
     peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
     if start == 1:

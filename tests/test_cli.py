@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -300,14 +301,17 @@ def reference_parser():
     return parser
 
 
-@pytest.mark.parametrize("argv", [
+REFERENCE_ARGV = [
     [], ["-h"], *([command, "-h"] for command, _ in COMMAND_HELP),
     ["frobnicate"], ["--", "cap"], ["--trials", "5", "sweep"],
     ["cap", "--bandwidth-mhz", "1"], ["cap", "--trials"],
     ["coordinated", "--enforce-min", "--trials", "20"],
     ["cap", "--no-enforce-minimum"], ["sweep", "--arrival-rate", "1000"],
     ["cap", "--arrival-rate", "1000"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_ARGV, ids=" ".join)
 def test_main_matches_the_shared_parent_parser(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("MA_BENCH_SEED", raising=False)
@@ -318,6 +322,44 @@ def test_main_matches_the_shared_parent_parser(argv, monkeypatch, capsys):
                            lambda self, args=None, namespace=None: parse_args(reference, args)):
         expected = run(argv, capsys)
     assert run(argv, capsys) == expected
+
+
+def test_cached_parser_carries_nothing_between_calls(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("MA_BENCH_SEED", raising=False)
+    forward = [run(argv, capsys) for argv in REFERENCE_ARGV]
+    backward = [run(argv, capsys) for argv in reversed(REFERENCE_ARGV)]
+    assert backward[::-1] == forward
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert run(["cap", "--arrival-rate", "1000"], capsys)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["cap", "--arrival-rate", "1000"], ["uncoordinated", "--mode", "analytic"],
+                 ["sweep", "--arrival-rate", "1000"]):
+        run(argv, capsys)
+    assert built == []
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["cap", "--arrival-rate", "1000"], 0), (["cap", "--arrival-rate", "abc"], 1),
+    ([], 2)], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_main_reads_sys_argv_and_entry_exits_with_its_status(argv, status, monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(sys, "argv", ["ma-bench"] + argv)
+    expected = run(argv, capsys)
+    assert expected[0] == status
+    assert run(None, capsys) == expected
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert (exited.value.code, *capsys.readouterr()) == expected
 
 
 def test_cap_prints_capacity_bound(capsys):
@@ -670,3 +712,40 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
                           "--output", str(out_path)], capsys)
     assert status == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == COORDINATED_GOLDEN
+
+
+@pytest.mark.parametrize("argv", [
+    ["cap", "--ref-snr", "1e306"],                                  # N ref_snr overflows
+    ["uncoordinated", "--ref-snr", "1e306", "--mode", "analytic"],
+    ["sweep", "--ref-snr", "1e306", "--mode", "analytic", "--schemes", "uncoordinated-fdma"],
+    ["coordinated", "--pathloss-exp", "1000", "--arrival-rate", "1000", "--trials", "2"],
+    ["coordinated", "--pathloss-exp", "2000", "--arrival-rate", "100000", "--trials", "2",
+     "--schemes", "coordinated-fdma"],                              # inf gains' widths
+], ids=lambda argv: " ".join(argv[:3]))
+def test_overflowing_inputs_print_the_result_without_warnings(argv, tmp_path, capsys):
+    # a numpy RuntimeWarning is an error under this suite's filterwarnings
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(argv + ["--output", str(out_path)], capsys)
+    assert status == 0, err
+    assert out or out_path.exists()
+    assert err == ("" if argv[0] != "sweep" else f"wrote 8 rows to {out_path}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncoordinated", "--arrival-rate", "1e19", "--trials", "64"],
+    ["sweep", "--mode", "both", "--schemes", "uncoordinated-tdma", "--lambda-max", "1e19",
+     "--lambda-steps", "2"],
+], ids=lambda argv: argv[0])
+def test_arrivals_past_the_poisson_limit_are_one_error_line(argv, tmp_path, capsys):
+    out_path = tmp_path / "rows.csv"
+    status, out, err = run(argv + ["--output", str(out_path)], capsys)
+    assert (status, out) == (1, "")
+    assert err == (f"error: arrival_rate * slot_s = 1e+19 exceeds {sim.POISSON_MAX:g}, "
+                   "the largest Poisson mean numpy draws arrivals from\n")
+    assert not out_path.exists()
+    # the analytic rows at that rate stay results
+    status, _, err = run(["sweep", "--mode", "analytic", "--schemes", "uncoordinated-tdma",
+                          "--lambda-max", "1e19", "--lambda-steps", "2",
+                          "--output", str(out_path)], capsys)
+    assert status == 0, err
+    assert len(out_path.read_text().splitlines()) == 3

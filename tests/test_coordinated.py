@@ -216,6 +216,17 @@ def test_fdma_admits_devices_with_overflowing_power_terms():
     assert np.all(np.isfinite(allocation.resources))
 
 
+def test_an_overflowed_gain_needs_no_resource(params):
+    # a power past the float range is an inf gain (StrongestFirst at large
+    # path-loss exponents): width and time share 0, without a warning
+    gains = np.array([np.inf, 1e306, 2.0])
+    widths = min_bandwidth_array(gains, params)
+    assert widths[0] == 0.0 and np.array_equal(widths[1:], min_bandwidth_array(gains[1:], params))
+    for kmax in (fdma_kmax, tdma_kmax):
+        allocation = kmax(DeviceSet(gains), params)
+        assert allocation.admitted == 3 and allocation.resources[0] == 0.0
+
+
 def test_min_bandwidth_converged_bracket_straddles_root(params):
     # the returned width delivers the payload; one float below does not
     for gain in (1.0, 7.5, 120.0, 3e4):

@@ -108,6 +108,25 @@ def test_strongest_first_draws_only_what_is_read():
     assert rng.random() == reference.random()
 
 
+def test_gain_overflow_is_decided_once_per_source(monkeypatch):
+    # below 2046 / 53 even the strongest gain a placement can have is finite
+    below = np.nextafter(2046 / 53, 0.0)
+    assert np.isfinite(np.power(2.0 ** -53, -0.5 * below))
+    assert not StrongestFirst(1, below, trial_rng(6, 0))._may_overflow
+    assert StrongestFirst(1, 2046 / 53, trial_rng(6, 0))._may_overflow
+    # past it gains overflow to inf silently (a warning is an error here) ...
+    placements = np.concatenate([v.copy() for v in StrongestFirst(
+        3000, 1000.0, trial_rng(6, 0))._placements()])
+    gains = np.concatenate(list(StrongestFirst(3000, 1000.0, trial_rng(6, 0)).gain_chunks()))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(gains, np.power(placements, -500.0))
+    assert np.isinf(gains).any() and np.isfinite(gains).any()
+    # ... and below it no slice enters an errstate
+    monkeypatch.setattr(np, "errstate", None)
+    assert np.isfinite(np.concatenate(list(StrongestFirst(
+        20_000, below, trial_rng(6, 0)).gain_chunks()))).all()
+
+
 def test_sample_arrivals_zero_rate():
     rng = trial_rng(3, 0)
     assert np.array_equal(sample_arrivals(TrafficModel(0.0), 1.0, rng, size=100), np.zeros(100))

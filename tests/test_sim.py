@@ -267,6 +267,29 @@ def test_trials_past_the_substream_keys_are_rejected_up_front(params, monkeypatc
             simulate_point(config, params, TrafficModel(100.0), SEED, 0, trials)
 
 
+def test_arrivals_past_the_poisson_limit_are_rejected_up_front(params, monkeypatch):
+    # numpy draws a Poisson mean up to POISSON_MAX and rejects the next float
+    assert trial_rng(0).poisson(sim.POISSON_MAX) > 0
+    with pytest.raises(ValueError):
+        trial_rng(0).poisson(np.nextafter(sim.POISSON_MAX, np.inf))
+
+    def no_blocks(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
+    too_high = np.nextafter(sim.POISSON_MAX, np.inf)
+    for config in (SchemeConfig("coordinated", "tdma"), SchemeConfig("uncoordinated", "tdma")):
+        with pytest.raises(ValueError, match=r"arrival_rate \* slot_s"):
+            run_sweep(config, params, [1000.0, too_high], 64, SEED)
+    with pytest.raises(ValueError, match=r"arrival_rate \* slot_s"):
+        simulate_point(SchemeConfig("coordinated", "tdma"), params, TrafficModel(too_high),
+                       SEED, 0, 64)
+    # the limit is on the mean per slot: a shorter slot draws the same rate
+    with pytest.raises(AssertionError, match="a block ran"):
+        run_sweep(SchemeConfig("coordinated", "tdma"), SystemParams(slot_s=0.5),
+                  [too_high], 64, SEED)
+
+
 def test_random_access_mean_tracks_analytic(params):
     # smoke-scale version of the acceptance panel
     lam = 2000.0

@@ -590,3 +590,11 @@ def test_optimizer_beats_every_sampled_design(case, scheme, data):
                                     data.draw(st.integers(1, n_max)))
         sampled = uncoordinated_throughput(other, params, traffic).expected_success
         assert best >= sampled * (1.0 - 1e-12)
+
+
+def test_partition_snr_past_the_float_range_changes_no_design():
+    # FDMA's N ref_snr overflows for N > ~180 at ref_snr 1e306: the threshold
+    # is -inf, silently, and every device transmits as at ref_snr 1e300
+    traffic = TrafficModel(1000.0)
+    assert optimize_design("fdma", SystemParams(ref_snr=1e306), traffic) == \
+        optimize_design("fdma", SystemParams(ref_snr=1e300), traffic)
