@@ -25,6 +25,7 @@ count, the same scan at zero slack is the exact sum.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -222,15 +223,44 @@ def tdma_min_time(gain: float, params: SystemParams) -> float:
     return float(_min_time_array(np.array([gain]), params)[0])
 
 
-def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
+def _quiet(may_overflow: bool):
+    """Ignore overflow where it is expected; elsewhere enter no errstate."""
+    return np.errstate(over="ignore", divide="ignore") if may_overflow \
+        else contextlib.nullcontext()
+
+
+def _shares(gains: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The time shares: payload ln 2 / (W log1p(ref_snr * gain)). A step
+    that overflows gives the right share, inf or 0."""
     return params.payload_bits * _LN2 / (
         params.bandwidth_hz * np.log1p(params.ref_snr * np.asarray(gains, dtype=float)))
 
 
+def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
+    """_shares, without warnings where the params let a step overflow."""
+    with _quiet(_edge_demand(_shares, params, 0.0)[1]):
+        return _shares(gains, params)
+
+
+# Gains run from 1 at the cell edge up to the largest float.
+_GAIN_ENDS = np.array([1.0, np.finfo(float).max])
+
+
 @lru_cache(maxsize=64)
-def _edge_demand(per_device, params: SystemParams, minimum: float) -> float:
-    """Demand of a cell-edge device (gain 1), padded up to ``minimum``."""
-    return max(float(per_device(np.ones(1), params)[0]), minimum)
+def _edge_demand(per_device, params: SystemParams, minimum: float) -> tuple[float, bool]:
+    """Demand of a cell-edge device (gain 1), padded up to ``minimum``, and
+    whether ``per_device`` overflows for some gain. Every step of _shares is
+    monotone in the gain, so the two ends of the gains decide that; the FDMA
+    solver keeps its own overflow quiet (_newton_widths)."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            per_device(_GAIN_ENDS, params)
+        may_overflow = False
+    except FloatingPointError:
+        may_overflow = True
+    with _quiet(may_overflow):
+        demand = float(per_device(np.ones(1), params)[0])
+    return max(demand, minimum), may_overflow
 
 
 def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -> bool:
@@ -328,16 +358,21 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     """
     n = len(devices)
     limit = budget * (1.0 + _BUDGET_TOL)
-    edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
+    edge, may_overflow = _edge_demand(exact, params, minimum)
+    edge *= 1.0 + 2.0 ** -50
     parts, read = iter(devices.gain_chunks()), []
-    if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
-        gamma = n * _U / (1.0 - n * _U)
-        count = _scan(devices, parts, read, params, fast, limit, minimum, edge,
-                      3.0 * gamma + 2.0 * error + 4.0 * _U)
-        if count is not None:
-            return count
-    return _scan(devices, itertools.chain(read, parts), [], params, exact, limit, minimum,
-                 edge, 0.0)
+    # Decided once per slot: no demand exceeds edge, so unless this holds
+    # no running sum of the n demands reaches 2**1023. An inf sum or demand
+    # is then the right answer.
+    with _quiet(may_overflow or not n * edge <= 2.0 ** 1022):
+        if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
+            gamma = n * _U / (1.0 - n * _U)
+            count = _scan(devices, parts, read, params, fast, limit, minimum, edge,
+                          3.0 * gamma + 2.0 * error + 4.0 * _U)
+            if count is not None:
+                return count
+        return _scan(devices, itertools.chain(read, parts), [], params, exact, limit,
+                     minimum, edge, 0.0)
 
 
 def fdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,
@@ -358,8 +393,7 @@ def tdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     """Length of the longest device prefix whose minimal time shares fit in
     the slot (each padded up to min_slot_s with enforce_minimum)."""
     minimum = params.min_slot_s if enforce_minimum else 0.0
-    return _admitted_count(devices, params, params.slot_s, minimum,
-                           _min_time_array, _min_time_array, 0.0)
+    return _admitted_count(devices, params, params.slot_s, minimum, _shares, _shares, 0.0)
 
 
 def fdma_kmax(devices: DeviceSet, params: SystemParams,

@@ -19,10 +19,20 @@ band, and ``bandwidth_ratio`` the total bandwidth over the occupied one.
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+# The digest's SHA-256 from CPython's own module: hashlib would map OpenSSL,
+# ~3.6 MB resident, into every process for one 12-digit fingerprint.
+try:
+    from _sha2 import sha256   # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256   # Python 3.10-3.11
+    except ImportError:   # a build without the built-in hashes
+        from hashlib import sha256
 
 FDMA = "fdma"
 TDMA = "tdma"
@@ -82,7 +92,7 @@ class SystemParams:
     def digest(self) -> str:
         """Short stable fingerprint of the parameter set, echoed in outputs."""
         canon = ",".join(repr(getattr(self, f.name)) for f in fields(self))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return sha256(canon.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,8 @@ class DeviceSet:
         object.__setattr__(self, "gains", g)
         if g.ndim != 1:
             raise ValueError("gains must be a 1-D array")
-        if g.size and (np.any(np.diff(g) > 0) or g[-1] < 1.0):
+        # compared, not subtracted: inf - inf would be NaN with a warning
+        if g.size and (np.any(g[1:] > g[:-1]) or g[-1] < 1.0):
             raise ValueError("gains must be sorted descending with every entry >= 1")
 
     def __len__(self) -> int:
@@ -244,7 +255,13 @@ def channel_gain(normalized_distance, pathloss_exp: float):
         raise ValueError("pathloss_exp must be > 0")
     if np.any(u <= 0) or np.any(u > 1):
         raise ValueError("normalized distance must lie in (0, 1]")
-    out = u ** (-pathloss_exp)
+    # Decided once, not per device: the nearest gain is finite (below
+    # 2**1023) unless this holds, and an inf gain is then expected.
+    if u.size and -pathloss_exp * math.log2(u.min()) >= 1023:
+        with np.errstate(over="ignore"):
+            out = u ** (-pathloss_exp)
+    else:
+        out = u ** (-pathloss_exp)
     return out if out.ndim else float(out)
 
 

@@ -721,6 +721,13 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
     ["coordinated", "--pathloss-exp", "1000", "--arrival-rate", "1000", "--trials", "2"],
     ["coordinated", "--pathloss-exp", "2000", "--arrival-rate", "100000", "--trials", "2",
      "--schemes", "coordinated-fdma"],                              # inf gains' widths
+    ["sweep", "--ref-snr", "5e-324", "--schemes", "coordinated-tdma", "--enforce-minimum",
+     "--trials", "2", "--lambda-min", "1e6", "--lambda-max", "1e6", "--lambda-steps", "1",
+     "--mode", "montecarlo"],                                       # inf share, sum past max
+    ["coordinated", "--ref-snr", "5e-324", "--schemes", "coordinated-tdma",
+     "--enforce-minimum", "--trials", "2", "--arrival-rate", "1000"],
+    ["coordinated", "--ref-snr", "1e300", "--schemes", "coordinated-tdma", "--payload-bits",
+     "1e6", "--trials", "2", "--arrival-rate", "100000"],           # ref_snr * gain overflows
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_overflowing_inputs_print_the_result_without_warnings(argv, tmp_path, capsys):
     # a numpy RuntimeWarning is an error under this suite's filterwarnings
@@ -728,7 +735,11 @@ def test_overflowing_inputs_print_the_result_without_warnings(argv, tmp_path, ca
     status, out, err = run(argv + ["--output", str(out_path)], capsys)
     assert status == 0, err
     assert out or out_path.exists()
-    assert err == ("" if argv[0] != "sweep" else f"wrote 8 rows to {out_path}\n")
+    if argv[0] == "sweep":
+        rows = len(out_path.read_text().splitlines()) - 1
+        assert err == f"wrote {rows} rows to {out_path}\n"
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -227,6 +227,34 @@ def test_an_overflowed_gain_needs_no_resource(params):
         assert allocation.admitted == 3 and allocation.resources[0] == 0.0
 
 
+def test_overflowing_time_shares_are_zero_or_inf_without_warnings():
+    # ref_snr * gain past the float range is a share of 0 ...
+    huge = SystemParams(payload_bits=1e6, ref_snr=1e300)
+    assert coordinated._min_time_array(np.array([1e10]), huge)[0] == 0.0
+    assert tdma_min_time(1e10, huge) == 0.0
+    assert tdma_kmax(DeviceSet([1e10, 1.0]), huge).admitted == 2
+    # ... a share past it is inf, and so is a sum of finite shares past it
+    tiny = SystemParams(ref_snr=5e-324)
+    assert tdma_min_time(1.0, tiny) == math.inf
+    for enforce_minimum in (False, True):
+        assert tdma_admitted_count(DeviceSet([1e12, 1e12, 1.0]), tiny, enforce_minimum) == 0
+    # finite shares whose sum overflows although no share can
+    wide = SystemParams(bandwidth_hz=1e-303, min_subchannel_hz=1e-304, slot_s=1e303)
+    assert not coordinated._edge_demand(coordinated._shares, wide, 0.0)[1]
+    assert tdma_admitted_count(DeviceSet(np.ones(3000)), wide) == 0
+
+
+def test_default_time_shares_enter_no_errstate(params, monkeypatch):
+    # whether a share or a sum can overflow is decided per slot, from
+    # cached per-params checks: the default path enters no errstate
+    for enforce_minimum in (False, True):
+        tdma_admitted_count(StrongestFirst(1, 4.0, trial_rng(6, 0)), params, enforce_minimum)
+    monkeypatch.setattr(np, "errstate", None)
+    for enforce_minimum in (False, True):
+        assert tdma_admitted_count(StrongestFirst(20_000, 4.0, trial_rng(6, 0)), params,
+                                   enforce_minimum) > 0
+
+
 def test_min_bandwidth_converged_bracket_straddles_root(params):
     # the returned width delivers the payload; one float below does not
     for gain in (1.0, 7.5, 120.0, 3e4):

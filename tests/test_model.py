@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ma_bench import (DeviceSet, StrongestFirst, SystemParams, TrafficModel,
                       channel_gain, make_device_set, sample_arrivals,
@@ -180,6 +182,20 @@ def test_device_set_rejects_bad_input():
         DeviceSet(np.array([2.0, 0.5]))       # below cell-edge gain
 
 
+def test_placed_gain_overflow_is_decided_once_per_call(monkeypatch):
+    # from pathloss_exp 2046 / 53 on, the nearest placements' gains are inf:
+    # expected, so no warning (an error here), and the set is still sorted
+    gains = make_device_set(1000, SystemParams(pathloss_exp=1000), trial_rng(1, 0)).gains
+    assert np.isinf(gains[:2]).all() and np.isfinite(gains).any()
+    assert channel_gain(1e-300, 4.0) == math.inf
+    assert len(DeviceSet(np.array([np.inf, np.inf, 2.0]))) == 3
+    with pytest.raises(ValueError):
+        DeviceSet(np.array([2.0, np.inf]))   # ascending
+    # where no gain can overflow, no errstate is entered
+    monkeypatch.setattr(np, "errstate", None)
+    assert np.isfinite(make_device_set(1000, SystemParams(), trial_rng(1, 0)).gains).all()
+
+
 def test_device_set_top(params):
     devices = make_device_set(10, params, trial_rng(1, 1))
     assert len(devices.top(3)) == 3
@@ -255,6 +271,32 @@ def test_digest_tracks_parameters(params):
 def test_default_digest_is_pinned():
     # rows written by earlier versions carry this digest for the defaults
     assert SystemParams().digest() == "1622cd6dec97"
+
+
+@st.composite
+def system_params(draw):
+    """Valid parameter sets: the minima below their budgets, the spectral
+    load within what the SNR floor allows."""
+    fraction = st.floats(1e-9, 1.0)
+    slot_s, bandwidth_hz = draw(st.floats(1e-6, 1e6)), draw(st.floats(1.0, 1e12))
+    return SystemParams(bandwidth_hz=bandwidth_hz, slot_s=slot_s,
+                        payload_bits=bandwidth_hz * slot_s * draw(st.floats(1e-9, 1000.0)),
+                        ref_snr=draw(st.floats(1e-300, 1e300)),
+                        pathloss_exp=draw(st.floats(2.0, 1e4, exclude_min=True)),
+                        min_slot_s=slot_s * draw(fraction),
+                        min_subchannel_hz=bandwidth_hz * draw(fraction))
+
+
+def hashlib_digest(params):
+    canon = ",".join(repr(getattr(params, f.name)) for f in dataclasses.fields(params))
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+@settings(max_examples=200)
+@given(system_params())
+@example(SystemParams())
+def test_digest_is_hashlibs_sha256_of_the_field_reprs(params):
+    assert params.digest() == hashlib_digest(params)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])

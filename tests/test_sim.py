@@ -2,8 +2,6 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
@@ -13,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ma_bench
 from ma_bench import (BLOCK_TRIALS, Infeasible, SystemParams, TrafficModel,
                       UncoordinatedDesign, aggregate, analytic_rows,
                       noma_design, optimize_design, resolve_design,
@@ -226,17 +223,32 @@ def test_sweep_share_error_in_a_forked_process_propagates(params, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_single_process_sweep_does_not_load_the_pool():
-    code = ("import sys; import ma_bench, ma_bench.cli; "
-            "from ma_bench import SchemeConfig, SystemParams, run_sweep; "
-            "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42); "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(ma_bench.__path__[0]), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+def test_single_process_sweep_does_not_load_the_pool(fresh_modules):
+    assert fresh_modules(
+        "import ma_bench, ma_bench.cli\n"
+        "from ma_bench import SchemeConfig, SystemParams, run_sweep\n"
+        "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42)",
+        ("multiprocessing", "concurrent.futures.process")) == []
+
+
+def test_single_process_runs_load_no_openssl(fresh_modules, tmp_path):
+    # The params digest takes CPython's own SHA-256; hashlib would map
+    # OpenSSL. (A Monte Carlo run loads it anyway: numpy.random imports hmac.)
+    commands = [["sweep", "--mode", "analytic", "--schemes", "uncoordinated-fdma",
+                 "--output", str(tmp_path / "rows.csv")], ["cap"]]
+    assert fresh_modules(
+        "from ma_bench import cli\n"
+        f"assert [cli.main(argv) for argv in {commands!r}] == [0, 0]",
+        ("_hashlib", "ssl")) == []
+
+
+def test_digest_falls_back_to_hashlib_without_the_built_in_hashes(fresh_modules):
+    assert fresh_modules(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None   # import fails\n"
+        "from ma_bench import SystemParams\n"
+        "assert SystemParams().digest() == '1622cd6dec97'",
+        ("hashlib",)) == ["hashlib"]
 
 
 def test_sweep_validates_inputs(params):
