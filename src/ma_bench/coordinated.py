@@ -242,19 +242,25 @@ def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
         return _shares(gains, params)
 
 
-# Gains run from 1 at the cell edge up to the largest float.
-_GAIN_ENDS = np.array([1.0, np.finfo(float).max])
+def _gain_ends(params: SystemParams) -> np.ndarray:
+    """1, the cell edge, and a bound on every finite gain a placement draws:
+    v >= 2**-53 gives at most 2**(53 pathloss_exp / 2) (model._NEAREST),
+    padded for rounding; the largest float where that is past the range."""
+    exponent = 26.5 * params.pathloss_exp
+    top = 2.0 ** exponent * (1.0 + 2.0 ** -20) if exponent < 1023 else np.finfo(float).max
+    return np.array([1.0, top])
 
 
 @lru_cache(maxsize=64)
 def _edge_demand(per_device, params: SystemParams, minimum: float) -> tuple[float, bool]:
     """Demand of a cell-edge device (gain 1), padded up to ``minimum``, and
-    whether ``per_device`` overflows for some gain. Every step of _shares is
-    monotone in the gain, so the two ends of the gains decide that; the FDMA
+    whether ``per_device`` overflows for some gain a placement can draw.
+    Every step of _shares is monotone in the gain, so the two ends of those
+    gains decide that; a hand-built gain past them may warn. The FDMA
     solver keeps its own overflow quiet (_newton_widths)."""
     try:
         with np.errstate(over="raise", divide="raise"):
-            per_device(_GAIN_ENDS, params)
+            per_device(_gain_ends(params), params)
         may_overflow = False
     except FloatingPointError:
         may_overflow = True

@@ -721,9 +721,6 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
     ["coordinated", "--pathloss-exp", "1000", "--arrival-rate", "1000", "--trials", "2"],
     ["coordinated", "--pathloss-exp", "2000", "--arrival-rate", "100000", "--trials", "2",
      "--schemes", "coordinated-fdma"],                              # inf gains' widths
-    ["sweep", "--ref-snr", "5e-324", "--schemes", "coordinated-tdma", "--enforce-minimum",
-     "--trials", "2", "--lambda-min", "1e6", "--lambda-max", "1e6", "--lambda-steps", "1",
-     "--mode", "montecarlo"],                                       # inf share, sum past max
     ["coordinated", "--ref-snr", "5e-324", "--schemes", "coordinated-tdma",
      "--enforce-minimum", "--trials", "2", "--arrival-rate", "1000"],
     ["coordinated", "--ref-snr", "1e300", "--schemes", "coordinated-tdma", "--payload-bits",
@@ -735,11 +732,19 @@ def test_overflowing_inputs_print_the_result_without_warnings(argv, tmp_path, ca
     status, out, err = run(argv + ["--output", str(out_path)], capsys)
     assert status == 0, err
     assert out or out_path.exists()
-    if argv[0] == "sweep":
-        rows = len(out_path.read_text().splitlines()) - 1
-        assert err == f"wrote {rows} rows to {out_path}\n"
-    else:
-        assert err == ""
+    assert err == ("" if argv[0] != "sweep" else f"wrote 8 rows to {out_path}\n")
+
+
+def test_overflowing_tdma_sweep_prints_its_row_without_warnings(tmp_path, capsys):
+    # inf time shares, and a running sum of finite ones past the float range
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", "--ref-snr", "5e-324", "--schemes", "coordinated-tdma",
+                          "--enforce-minimum", "--trials", "2", "--lambda-min", "1e6",
+                          "--lambda-max", "1e6", "--lambda-steps", "1", "--mode", "montecarlo",
+                          "--output", str(out_path)], capsys)
+    assert status == 0, err
+    assert err == f"wrote 1 rows to {out_path}\n"
+    assert len(out_path.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("argv", [

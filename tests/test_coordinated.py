@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -246,13 +247,17 @@ def test_overflowing_time_shares_are_zero_or_inf_without_warnings():
 
 def test_default_time_shares_enter_no_errstate(params, monkeypatch):
     # whether a share or a sum can overflow is decided per slot, from
-    # cached per-params checks: the default path enters no errstate
-    for enforce_minimum in (False, True):
-        tdma_admitted_count(StrongestFirst(1, 4.0, trial_rng(6, 0)), params, enforce_minimum)
+    # cached per-params checks over the gains a placement can draw: the
+    # default path enters no errstate, nor does a larger cell-edge SNR
+    cases = [params, dataclasses.replace(params, ref_snr=10.0),
+             dataclasses.replace(params, ref_snr=1e6, pathloss_exp=30.0)]
+    for case, enforce_minimum in itertools.product(cases, (False, True)):
+        tdma_admitted_count(StrongestFirst(1, 4.0, trial_rng(6, 0)), case, enforce_minimum)
     monkeypatch.setattr(np, "errstate", None)
-    for enforce_minimum in (False, True):
-        assert tdma_admitted_count(StrongestFirst(20_000, 4.0, trial_rng(6, 0)), params,
-                                   enforce_minimum) > 0
+    for case, enforce_minimum in itertools.product(cases, (False, True)):
+        assert tdma_admitted_count(StrongestFirst(20_000, case.pathloss_exp, trial_rng(6, 0)),
+                                   case, enforce_minimum) > 0
+        assert tdma_min_time(1.0, case) > 0
 
 
 def test_min_bandwidth_converged_bracket_straddles_root(params):
@@ -587,7 +592,7 @@ def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch)
     params = SystemParams(payload_bits=payload)
     solved = []
     solvers = (("min_bandwidth_array", "_bracketed_widths") if count is fdma_admitted_count
-               else ("_min_time_array",))
+               else ("_shares",))
     for name in solvers:   # every demand solver admission may call
         monkeypatch.setattr(coordinated, name, lambda gains, p, solver=getattr(coordinated, name):
                             solved.append(gains.size) or solver(gains, p))
