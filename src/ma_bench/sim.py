@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -227,6 +228,60 @@ def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
     return [run(share).served for run in runs]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may use; 1 without os.fork (every share runs here)."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(task) -> tuple[int, int]:
+    """Run ``task()`` in a forked process; return its pid and the read end of
+    a pipe that carries its pickled result, or the exception it raised."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:   # leaves only through os._exit: no atexit handler, no stdio flush
+        try:
+            result = task()
+        except BaseException as exc:
+            result = exc
+        try:
+            payload = pickle.dumps(result)
+        except Exception as exc:   # e.g. an exception pickle cannot carry
+            payload = pickle.dumps(ChildProcessError(
+                f"a sweep process could not send {result!r}: {exc}"))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(payload: bytes, status: int) -> list[np.ndarray]:
+    """What a forked share sent, given its wait status: its result, or raises
+    its exception, or ChildProcessError if nothing readable came."""
+    try:
+        result = pickle.loads(payload)
+    except Exception as exc:
+        import signal   # here and below: only a failed sweep loads it
+        code = os.waitstatus_to_exitcode(status)
+        how = f"by {signal.Signals(-code).name}" if code < 0 else f"with exit code {code}"
+        raise ChildProcessError(f"a sweep process died {how}" + (
+            f" and sent an unreadable result: {exc}" if payload else "")) from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
               trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
     """One SweepRow per arrival rate.
@@ -234,12 +289,13 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
     Substreams are keyed on (master_seed, point index, block index), so
     equal inputs and master_seed give bit-identical rows for any worker
     count. Each point's blocks are split into at most ``workers`` contiguous
-    shares (``workers`` capped at the CPU count), merged by block index. This
-    process runs share 0 of every point; a pool of one process per other
-    share runs the others, each as one task over every point, so no point
-    waits for the one before it. Every point's design is resolved first, so
-    a design error raises before any process starts. A pool process that
-    dies raises ChildProcessError.
+    shares (``workers`` capped by _usable_cpus), merged by block index. This
+    process runs share 0 of every point; a process forked per other share
+    runs it over every point, so no point waits for the one before it, and
+    sends its counts back through a pipe. Every point's design is resolved
+    first, so a design error raises before any fork. A share's exception is
+    raised here; a forked process that dies raises ChildProcessError. No
+    forked process outlives the call.
     """
     grid = _checked_grid(lambda_grid)
     _check_trials(trials)
@@ -247,7 +303,7 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
         raise ValueError("workers must be >= 1")
 
     blocks = range(-(-trials // BLOCK_TRIALS))
-    step = -(-len(blocks) // min(workers, os.cpu_count() or 1))
+    step = -(-len(blocks) // min(workers, _usable_cpus()))
     shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
     runs = []
     for index, lam in enumerate(grid):
@@ -256,21 +312,25 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
                             traffic, master_seed, index, trials))
         _check_load(traffic, params)
 
-    if len(shares) == 1:
-        served = _run_share(runs, shares[0])
-    else:
-        # Imported here: a run that never forks does not load the pool.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        executor = ProcessPoolExecutor(len(shares) - 1)
-        try:
-            pending = [executor.submit(_run_share, runs, share) for share in shares[1:]]
-            served = [np.concatenate(parts) for parts in zip(
-                _run_share(runs, shares[0]), *(future.result() for future in pending))]
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a sweep process died: {exc}") from exc
-        finally:
-            executor.shutdown(cancel_futures=True)
+    children = []   # (pid, read fd) of each share after the first, until reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork(partial(_run_share, runs, share)))
+        parts = [_run_share(runs, shares[0])]
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(0)[1])
+            parts.append(_received(payload, status))
+    finally:
+        for pid, read in children:   # not reaped: a fork, share 0 or a join raised
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    served = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
     rows, digest = [], params.digest()
     for lam, counts in zip(grid, served):

@@ -7,12 +7,43 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ma_bench import SystemParams
+from ma_bench import SystemParams, sim
 
 # Property tests draw the same examples on every run and have no time limit;
 # each test sets only its own max_examples.
 settings.register_profile("ma-bench", deadline=None, derandomize=True)
 settings.load_profile("ma-bench")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:   # no child at all
+        return
+    pytest.fail(f"the test left a child process ({'running' if pid == 0 else pid})")
+
+
+@pytest.fixture
+def in_forked_share(monkeypatch):
+    """A function that sets sweeps to two CPUs and makes each forked share
+    call ``act()`` before its first draw; share 0, run in the sweeping
+    process, draws as usual."""
+    sweeping = os.getpid()
+    draw_arrivals = sim.sample_arrivals
+
+    def install(act):
+        def draw(*args, **kwargs):
+            if os.getpid() != sweeping:
+                act()
+            return draw_arrivals(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "sample_arrivals", draw)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+
+    return install
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@ import argparse
 import dataclasses
 import hashlib
 import math
-import multiprocessing
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -593,28 +593,47 @@ def test_rate_grid_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_dead_sweep_process_is_one_error_line(tmp_path, monkeypatch, capsys):
-    # two shares: this process runs one, the single pool process dies on the other
-    sweeping = os.getpid()
-    draw_arrivals = sim.sample_arrivals
-
-    def die_when_forked(*args, **kwargs):
-        if os.getpid() != sweeping:
-            os._exit(1)
-        return draw_arrivals(*args, **kwargs)
-
-    monkeypatch.setattr(sim, "sample_arrivals", die_when_forked)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def forked_share_sweep(act, in_forked_share, tmp_path, capsys):
+    """A two-share sweep whose forked share calls ``act()`` first: its exit
+    status, stdout, stderr lines, and whether it wrote its CSV."""
+    in_forked_share(act)
     out_path = tmp_path / "rows.csv"
     status, out, err = run(["sweep", "--workers", "2", "--schemes", "uncoordinated-tdma",
                             "--mode", "montecarlo", "--lambda-steps", "1",
                             "--trials", str(2 * sim.BLOCK_TRIALS),
                             "--output", str(out_path)], capsys)
-    assert (status, out) == (1, "")
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "died" in lines[0], err
-    assert not out_path.exists()
-    assert multiprocessing.active_children() == []
+    return status, out, err.strip().splitlines(), out_path.exists()
+
+
+def test_dead_sweep_process_is_one_error_line(in_forked_share, tmp_path, capsys):
+    # two shares: this process runs one, the process forked for the other exits
+    status, out, lines, wrote = forked_share_sweep(lambda: os._exit(1), in_forked_share,
+                                                   tmp_path, capsys)
+    assert (status, out, wrote) == (1, "", False)
+    assert len(lines) == 1 and lines[0].startswith("error:") and "died" in lines[0], lines
+    assert "exit code 1" in lines[0]
+
+
+def test_killed_sweep_process_is_one_error_line(in_forked_share, tmp_path, capsys):
+    status, out, lines, wrote = forked_share_sweep(
+        lambda: os.kill(os.getpid(), signal.SIGKILL), in_forked_share, tmp_path, capsys)
+    assert (status, out, wrote) == (1, "", False)
+    assert len(lines) == 1 and lines[0].startswith("error:") and "died" in lines[0], lines
+    assert "SIGKILL" in lines[0]
+
+
+def test_share_exception_pickle_cannot_carry_is_one_error_line(in_forked_share, tmp_path,
+                                                               capsys):
+    class Unpicklable(Exception):   # a local class: pickle cannot name it
+        pass
+
+    def fail():
+        raise Unpicklable("share failed in a forked process")
+
+    status, out, lines, wrote = forked_share_sweep(fail, in_forked_share, tmp_path, capsys)
+    assert (status, out, wrote) == (1, "", False)
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "share failed in a forked process" in lines[0]
 
 
 def test_tiny_partition_minimum_stops_the_design_scan(capsys):
@@ -647,7 +666,7 @@ def test_partition_count_past_the_float_range_is_one_error_line(flag, capsys):
 ])
 def test_single_rate_figure_is_the_one_rate_sweep_row(command, scheme, rate, column,
                                                       workers, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # workers=2 forks one process
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)   # workers=2 forks one process
     common = ["--schemes", scheme, "--trials", "200", "--master-seed", "7",
               "--workers", workers]
     status, out, err = run([command, "--arrival-rate", rate] + common, capsys)
@@ -712,6 +731,37 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
                           "--output", str(out_path)], capsys)
     assert status == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == COORDINATED_GOLDEN
+
+
+UNCOORDINATED_SCHEMES = "uncoordinated-fdma,uncoordinated-tdma,uncoordinated-noma"
+# sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process),
+# recorded when a process pool ran the second share.
+SWEEP_GOLDENS = {
+    "coordinated": (["--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
+                     "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4"],
+                    "66a175125bb6db6dc9500f7d4142717932a73b49ef6c13b96cfb34f673ebd654"),
+    "uncoordinated": (["--schemes", UNCOORDINATED_SCHEMES],
+                      "1b8a168a812c8992ed4d27d503765645e6310095132bf1f817213f9e631902ce"),
+    "uncoordinated-fine-minima": (["--schemes", UNCOORDINATED_SCHEMES, "--min-slot-s", "1e-4",
+                                   "--min-subchannel-hz", "100"],
+                                  "c922ee3a2750ce842bf22e44cba6d78b578273ae8c0ffedc7b0ab36ba5322ff4"),
+    "uncoordinated-rederived": (["--schemes", UNCOORDINATED_SCHEMES,
+                                 "--noma-snr-rule", "rederived"],
+                                "471f8208371fad0a497e1b0ad810ff90c0767d3c41792aa81ada504a70050628"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", SWEEP_GOLDENS)
+def test_sweep_bytes_are_pinned_at_any_worker_count(case, workers, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    argv, golden = SWEEP_GOLDENS[case]
+    out_path = tmp_path / "rows.csv"
+    status, _, err = run(["sweep", *argv, "--trials", "128", "--master-seed", "0",
+                          "--workers", workers, "--output", str(out_path)], capsys)
+    assert status == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == golden
 
 
 @pytest.mark.parametrize("argv", [

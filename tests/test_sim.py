@@ -1,10 +1,8 @@
-import concurrent.futures
 import math
-import multiprocessing
 import os
+import time
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,7 +123,7 @@ def test_sweep_rows_and_determinism(params):
 def test_sweep_workers_do_not_change_results(params, monkeypatch):
     # one trial, part of one block, and two blocks plus part of a third;
     # four CPUs, so that workers=4 splits the blocks four ways
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
     for config in (SchemeConfig("uncoordinated", "tdma"), SchemeConfig("coordinated", "noma")):
         for trials in (1, 60, 2 * BLOCK_TRIALS + 2):
             serial = run_sweep(config, params, [100.0, 400.0], trials, SEED, workers=1)
@@ -135,33 +133,28 @@ def test_sweep_workers_do_not_change_results(params, monkeypatch):
 
 
 @pytest.fixture
-def pool_log(monkeypatch):
-    """Replaces concurrent.futures.ProcessPoolExecutor with a pool that runs
-    its tasks in-process and logs its sizes and the (point index, blocks)
-    shares submitted to it."""
-    log = SimpleNamespace(sizes=[], submitted=[])
+def fork_log(monkeypatch):
+    """Wraps sim._fork so that each forked share's task runs in this process,
+    where it is logged as its (point index, blocks) pairs, and the forked
+    process only sends the result back. Counts the forks."""
+    log = SimpleNamespace(forks=0, submitted=[])
+    fork = sim._fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            log.sizes.append(max_workers)
+    def recording_fork(task):
+        runs, share = task.args
+        log.forks += 1
+        log.submitted += [(run.args[4], share) for run in runs]
+        result = task()
+        return fork(lambda: result)
 
-        def submit(self, fn, runs, share):
-            log.submitted += [(run.args[4], share) for run in runs]
-            future = Future()
-            future.set_result(fn(runs, share))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim, "_fork", recording_fork)
     return log
 
 
-def test_sweep_pool_holds_no_more_processes_than_shares(params, pool_log, monkeypatch):
-    # this process runs share 0 of every point; a pool forks all its
-    # processes at once, one per other share, and none for a single share
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_sweep_pool_holds_no_more_processes_than_shares(params, fork_log, monkeypatch):
+    # this process runs share 0 of every point; one process is forked per
+    # other share, and none for a single share
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
     ran = []
     run_blocks = sim._run_blocks
 
@@ -178,57 +171,105 @@ def test_sweep_pool_holds_no_more_processes_than_shares(params, pool_log, monkey
         serial = run_sweep(config, params, grid, trials, SEED)
         ran.clear()
         assert run_sweep(config, params, grid, trials, SEED, workers=workers) == serial
-        assert pool_log.sizes == ([len(shares) - 1] if len(shares) > 1 else [])
+        assert fork_log.forks == len(shares) - 1
         others = [(point, share) for point in range(len(grid)) for share in shares[1:]]
-        assert Counter(pool_log.submitted) == Counter(others)
+        assert Counter(fork_log.submitted) == Counter(others)
         assert Counter(ran) == Counter(others + [(point, shares[0]) for point in range(len(grid))])
-        pool_log.sizes.clear()
-        pool_log.submitted.clear()
+        fork_log.forks = 0
+        fork_log.submitted.clear()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, None])
-def test_sweep_workers_are_capped_at_the_cpu_count(params, pool_log, monkeypatch, cpus):
-    # ten blocks at workers=100000 split into as many shares as CPUs (one
-    # if the count is unknown): this process runs one, the pool the others
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def test_sweep_workers_are_capped_at_the_cpu_count(params, fork_log, monkeypatch, cpus):
+    # ten blocks at workers=100000 split into as many shares as the CPUs this
+    # process may use, `cpus` of 64; where that is unknown, as many as the
+    # CPU count, one if that is unknown too. This process runs one share.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64 if cpus else None)
+    if cpus:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     config = SchemeConfig("uncoordinated", "tdma")
     rows = run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED, workers=100_000)
     assert rows == run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED)
-    assert pool_log.sizes == ([cpus - 1] if cpus and cpus > 1 else [])
+    assert fork_log.forks == (cpus - 1 if cpus else 0)
 
 
-def test_sweep_design_error_raises_before_any_pool(pool_log):
+def test_sweep_without_fork_runs_every_share_here(params, fork_log, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    config = SchemeConfig("uncoordinated", "tdma")
+    rows = run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED, workers=2)
+    assert rows == run_sweep(config, params, [100.0], 10 * BLOCK_TRIALS, SEED)
+    assert fork_log.forks == 0
+
+
+def test_sweep_design_error_raises_before_any_pool(fork_log):
     # the NOMA target at the second rate is past the float range
     config = SchemeConfig("uncoordinated", "noma")
     with pytest.raises(Infeasible, match="float range"):
         run_sweep(config, SystemParams(slot_s=10.0), [100.0, 1e308],
                   2 * BLOCK_TRIALS, SEED, workers=2)
-    assert pool_log.sizes == []
+    assert fork_log.forks == 0
 
 
-def test_sweep_share_error_in_a_forked_process_propagates(params, monkeypatch):
-    sweeping = os.getpid()
-    draw_arrivals = sim.sample_arrivals
+def test_sweep_share_error_in_a_forked_process_propagates(params, in_forked_share):
+    def fail():
+        raise RuntimeError("share failed in a forked process")
 
-    def fail_when_forked(*args, **kwargs):
-        if os.getpid() != sweeping:
-            raise RuntimeError("share failed in a forked process")
-        return draw_arrivals(*args, **kwargs)
-
-    monkeypatch.setattr(sim, "sample_arrivals", fail_when_forked)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    in_forked_share(fail)
     with pytest.raises(RuntimeError, match="forked process"):
         run_sweep(SchemeConfig("uncoordinated", "tdma"), params, [100.0, 400.0],
                   2 * BLOCK_TRIALS, SEED, workers=2)
-    assert multiprocessing.active_children() == []
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: pickle rebuilds it from one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def test_sweep_share_result_that_does_not_unpickle_is_a_child_process_error(params,
+                                                                            in_forked_share):
+    def fail():
+        raise TwoArgError("share failed", "a forked process")
+
+    in_forked_share(fail)
+    with pytest.raises(ChildProcessError, match="unreadable result"):
+        run_sweep(SchemeConfig("uncoordinated", "tdma"), params, [100.0, 400.0],
+                  2 * BLOCK_TRIALS, SEED, workers=2)
+
+
+def test_share_0_error_kills_the_forked_process(params, monkeypatch):
+    # the forked share would run for a minute; share 0 fails at once
+    sweeping = os.getpid()
+
+    def fail_here_stall_when_forked(*args, **kwargs):
+        if os.getpid() != sweeping:
+            time.sleep(60)
+        raise RuntimeError("share 0 failed")
+
+    monkeypatch.setattr(sim, "sample_arrivals", fail_here_stall_when_forked)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="share 0 failed"):
+        run_sweep(SchemeConfig("uncoordinated", "tdma"), params, [100.0],
+                  2 * BLOCK_TRIALS, SEED, workers=2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):   # no child left, running or not reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_single_process_sweep_does_not_load_the_pool(fresh_modules):
+    # nor does a sweep that forks: each share sends its counts through a pipe
     assert fresh_modules(
         "import ma_bench, ma_bench.cli\n"
-        "from ma_bench import SchemeConfig, SystemParams, run_sweep\n"
-        "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42)",
-        ("multiprocessing", "concurrent.futures.process")) == []
+        "from ma_bench import SchemeConfig, SystemParams, run_sweep, sim\n"
+        "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42)\n"
+        "sim._usable_cpus = lambda: 2\n"
+        "run_sweep(SchemeConfig('uncoordinated', 'tdma'), SystemParams(), [100.0], 70, 42,"
+        " workers=2)",
+        ("multiprocessing", "concurrent.futures")) == []
 
 
 def test_single_process_runs_load_no_openssl(fresh_modules, tmp_path):
