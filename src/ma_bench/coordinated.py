@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst,
-                    SystemParams)
+                    SystemParams, strongest_gain)
 
 _LN2 = math.log(2.0)
 
@@ -243,12 +243,8 @@ def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def _gain_ends(params: SystemParams) -> np.ndarray:
-    """1, the cell edge, and a bound on every finite gain a placement draws:
-    v >= 2**-53 gives at most 2**(53 pathloss_exp / 2) (model._NEAREST),
-    padded for rounding; the largest float where that is past the range."""
-    exponent = 26.5 * params.pathloss_exp
-    top = 2.0 ** exponent * (1.0 + 2.0 ** -20) if exponent < 1023 else np.finfo(float).max
-    return np.array([1.0, top])
+    """1, the cell edge, and model.strongest_gain capped at the largest float."""
+    return np.array([1.0, min(strongest_gain(params.pathloss_exp), np.finfo(float).max)])
 
 
 @lru_cache(maxsize=64)

@@ -154,6 +154,13 @@ class DeviceSet:
 _NEAREST = 2.0 ** -53
 
 
+def strongest_gain(pathloss_exp: float) -> float:
+    """Bound on every gain a placement draws, v >= _NEAREST: 2**(26.5 pathloss_exp)
+    padded by 2**-20, inf past the float range (pathloss_exp >= 2046 / 53)."""
+    exponent = 26.5 * pathloss_exp
+    return 2.0 ** exponent * (1.0 + 2.0 ** -20) if exponent < 1023 else math.inf
+
+
 class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
@@ -166,10 +173,10 @@ class StrongestFirst:
     n + 1 standard exponentials (Devroye 1986, ch. V). A chunk of k after the
     first ``done`` devices draws k exponentials and one Gamma(n + 1 - done - k)
     for the rest of the sum, rescaled to the gap still left above v_(done) (a
-    Dirichlet split), so every prefix has exactly the law of the sorted
-    placement (make_device_set). Gains are v**(-pathloss_exp / 2); from
-    pathloss_exp = 2046 / 53 (~38.6) on, the strongest can overflow to inf,
-    which the kernels take as a device needing no resource.
+    Dirichlet split), so every prefix has exactly the law of the n uniform
+    placements sorted nearest first. Gains are v**(-pathloss_exp / 2); where
+    strongest_gain is inf, the strongest can overflow to inf, which the
+    kernels take as a device needing no resource.
 
     Chunks draw from ``rng`` as they are read: read each instance once.
     """
@@ -179,9 +186,7 @@ class StrongestFirst:
             raise ValueError("count must be >= 0")
         self.count = count
         self._half_exp = 0.5 * pathloss_exp
-        # Decided once, not per slice: the strongest gain, 2**(53 half_exp)
-        # at v = _NEAREST, is finite (below 2**1023) unless this holds.
-        self._may_overflow = 53 * self._half_exp >= 1023
+        self._may_overflow = strongest_gain(pathloss_exp) == math.inf   # decided once
         self._rng = rng
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
 
@@ -285,13 +290,10 @@ def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generat
 
 
 def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) -> DeviceSet:
-    """Sample ``count`` placements and return their gains sorted descending.
-
-    All of them are placed and sorted; StrongestFirst draws the same law a
-    prefix at a time."""
-    u = sample_placement(count, rng)
-    g = channel_gain(u, params.pathloss_exp) if count else np.empty(0)
-    return DeviceSet(np.sort(np.asarray(g))[::-1])
+    """The gains of ``count`` devices placed uniformly in the cell, strongest
+    first: one StrongestFirst, the engine's sampler, read in full."""
+    return DeviceSet(np.concatenate([np.empty(0), *StrongestFirst(
+        count, params.pathloss_exp, rng).gain_chunks()]))
 
 
 def trial_rng(master_seed: int, *indices: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ import numpy as np
 from ma_bench import (DeviceSet, SystemParams, TrafficModel,
                       UncoordinatedDesign, collision_probability, fdma_kmax,
                       fdma_min_bandwidth, noma_design, noma_device_cap,
-                      noma_power_allocation, optimize_design, run_sweep,
+                      noma_power_allocation, optimize_design, run_sweep, sim,
                       simulate_point, tdma_kmax, transmit_probability,
                       trial_rng, uncoordinated_throughput)
 from ma_bench.cli import emit_csv
@@ -211,23 +211,35 @@ def test_criterion_7_collision_oracle():
            f"enumeration match for partitions,transmitters <= 4")
 
 
-def test_criterion_8_byte_identical_csv(params, tmp_path):
+def test_criterion_8_byte_identical_csv(params, tmp_path, monkeypatch):
     import os
     grid = [500.0, 1500.0]
     workers_max = max(2, os.cpu_count() or 2)
-    payloads = []
-    for run_index, workers in ((0, 1), (1, 1), (2, workers_max), (3, workers_max)):
+
+    def sweep_csv(run_index, workers, trials):
         rows = []
         for scheme_config in (SchemeConfig("coordinated", "fdma"),
                               SchemeConfig("uncoordinated", "fdma"),
                               SchemeConfig("uncoordinated", "noma")):
-            rows.extend(run_sweep(scheme_config, params, grid, trials=60,
+            rows.extend(run_sweep(scheme_config, params, grid, trials=trials,
                                   master_seed=MASTER_SEED, workers=workers))
         path = tmp_path / f"run{run_index}.csv"
         emit_csv(rows, str(path))
-        payloads.append(path.read_bytes())
+        return path.read_bytes()
+
+    payloads = [sweep_csv(run_index, workers, 60)
+                for run_index, workers in ((0, 1), (1, 1), (2, workers_max), (3, workers_max))]
     report(8, all(p == payloads[0] for p in payloads[1:]),
            f"4 sweep runs (workers 1,1,{workers_max},{workers_max}) produced "
+           f"byte-identical CSV of {len(payloads[0])} bytes")
+    # 128 trials are two blocks, so two CPUs run the second share in a fork
+    forks = []
+    fork = sim._fork
+    monkeypatch.setattr(sim, "_fork", lambda task: forks.append(task) or fork(task))
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    payloads = [sweep_csv(run_index, workers, 128) for run_index, workers in ((4, 1), (5, 2))]
+    report(8, payloads[0] == payloads[1] and len(forks) > 0,
+           f"128-trial sweeps at workers 1 and 2 ({len(forks)} forks) produced "
            f"byte-identical CSV of {len(payloads[0])} bytes")
 
 

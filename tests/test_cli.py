@@ -748,6 +748,15 @@ SWEEP_GOLDENS = {
     "uncoordinated-rederived": (["--schemes", UNCOORDINATED_SCHEMES,
                                  "--noma-snr-rule", "rederived"],
                                 "471f8208371fad0a497e1b0ad810ff90c0767d3c41792aa81ada504a70050628"),
+    "coordinated-enforce-minimum": (["--schemes",
+                                     "coordinated-fdma,coordinated-tdma,coordinated-noma",
+                                     "--lambda-min", "5000", "--lambda-max", "20000",
+                                     "--lambda-steps", "4", "--enforce-minimum"],
+                                    "80238387415a74d215f7e995c44ed741212de91edeb6b7e83f0093635d780dfc"),
+    "uncoordinated-pathloss-exp": (["--schemes", UNCOORDINATED_SCHEMES, "--pathloss-exp", "3.1"],
+                                   "6910731e406d97face316cec088646f9b38a91b7f6efed57bda308af02535998"),
+    "uncoordinated-slot-s": (["--schemes", UNCOORDINATED_SCHEMES, "--slot-s", "10"],
+                             "5e73b2bad13e4df1480b76cdfc337919250bff1d541e93d4cf05794a8b0e2d52"),
 }
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ma_bench import (DeviceSet, Infeasible, StrongestFirst, SystemParams,
-                      TrafficModel, fdma_admitted_count, fdma_kmax,
+from ma_bench import (DeviceSet, Infeasible, SchemeConfig, StrongestFirst,
+                      SystemParams, TrafficModel, fdma_admitted_count, fdma_kmax,
                       fdma_min_bandwidth, make_device_set, noma_admitted_count,
-                      noma_kmax, noma_power_allocation, tdma_admitted_count,
-                      tdma_kmax, tdma_min_time, trial_rng)
+                      noma_kmax, noma_power_allocation, run_trial,
+                      tdma_admitted_count, tdma_kmax, tdma_min_time, trial_rng)
 from ma_bench import coordinated
 from ma_bench.coordinated import min_bandwidth_array
 
@@ -475,6 +475,25 @@ def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
         assert count(StrongestFirst(n, params.pathloss_exp, rng), params, enforce) == expected
         assert rng.bit_generator.state == exact_end_state(n, params.pathloss_exp, seed,
                                                           expected)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.sampled_from([0, 1, 2047, 2048, 2049, 6143, 6144, 6145]),
+                 st.integers(0, 30_000)),
+       st.sampled_from([SystemParams(), SystemParams(ref_snr=10.0),
+                        SystemParams(pathloss_exp=3.1),
+                        SystemParams(pathloss_exp=40.0)]),   # overflowing gains
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_library_admits_what_a_slot_on_the_same_substream_admits(n, params, seed, enforce):
+    # make_device_set draws with the engine's sampler, so the allocation
+    # functions on it admit exactly what run_trial admits from that generator
+    devices = make_device_set(n, params, trial_rng(seed, 1, 2))
+    for kmax in (fdma_kmax, tdma_kmax, noma_kmax):
+        scheme = kmax.__name__[:4]
+        config = SchemeConfig("coordinated", scheme, enforce_minimum=enforce)
+        expected = run_trial(config, params, n, trial_rng(seed, 1, 2))
+        got = kmax(devices, params) if kmax is noma_kmax else kmax(devices, params, enforce)
+        assert got.admitted == expected, (scheme, n, params, seed, enforce)
 
 
 def record_certified(monkeypatch):

@@ -65,8 +65,9 @@ def test_strongest_first_has_the_law_of_sorted_placement(params):
     drawn = np.array([np.concatenate(list(StrongestFirst(
         n, params.pathloss_exp, trial_rng(11, rep)).gain_chunks()))[ranks - 1]
         for rep in range(reps)]) ** (-1.0 / half)
-    placed = np.array([make_device_set(n, params, trial_rng(12, rep)).gains[ranks - 1]
-                       for rep in range(reps)]) ** (-1.0 / half)
+    # the oracle: the ascending v of n i.i.d. uniform placements
+    placed = np.array([np.sort(1.0 - trial_rng(12, rep).random(n))[ranks - 1]
+                       for rep in range(reps)])
     # v_(i) = (r/R)**2 of the i-th strongest device has mean i / (n + 1)
     se = drawn.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(drawn.mean(axis=0) - ranks / (n + 1)) <= 5.0 * se)
