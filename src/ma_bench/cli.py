@@ -301,6 +301,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process on first use."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="key=value config file")
+    for key, parse in _KEY_PARSERS.items():
+        flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
+        # untyped: parsed with the file values, so a bad one is an error: line
+        common.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction
+                            if parse is _parse_bool else "store")
     parser = argparse.ArgumentParser(
         prog="ma-bench",
         description="Throughput models for coordinated and uncoordinated "
@@ -311,16 +318,9 @@ def _parser() -> argparse.ArgumentParser:
             ("uncoordinated", "single-rate design point and analysis"),
             ("sweep", "throughput-versus-arrival-rate CSV"),
             ("cap", "closed-form quantities for scripting")):
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--config", metavar="PATH", help="key=value config file")
-        for key, parse in _KEY_PARSERS.items():
-            flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
-            # untyped: parsed with the file values, so a bad one is an error: line
-            sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction
-                             if parse is _parse_bool else "store")
+        sub = subparsers.add_parser(name, help=help_text, parents=[common])
         if name != "sweep":
-            sub.add_argument("--arrival-rate", default=None,
-                             help="packets per second (default: lambda_min)")
+            sub.add_argument("--arrival-rate", help="packets per second (default: lambda_min)")
     return parser
 
 

@@ -109,13 +109,17 @@ class SweepRow:
 def resolve_design(config: SchemeConfig, params: SystemParams,
                    traffic: TrafficModel) -> SchemeConfig:
     """Fill in the load-dependent broadcast design for uncoordinated runs."""
+    design = _design(config, params, traffic)
+    return config if design is config.design else replace(config, design=design)
+
+
+def _design(config: SchemeConfig, params: SystemParams, traffic: TrafficModel):
+    """The config's design at this load: its own (None if coordinated), else derived."""
     if config.family != UNCOORDINATED or config.design is not None:
-        return config
+        return config.design
     if config.scheme == NOMA:
-        design = un.noma_design(params, traffic, config.noma_rule)
-    else:
-        design = un.optimize_design(config.scheme, params, traffic)
-    return replace(config, design=design)
+        return un.noma_design(params, traffic, config.noma_rule)
+    return un.optimize_design(config.scheme, params, traffic)
 
 
 def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
@@ -157,7 +161,8 @@ def _alone_in_chunk(chunk: np.ndarray, offsets: np.ndarray, partitions: int,
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
                 master_seed: int, point_index: int, trials: int,
                 blocks: range) -> TrialCounts:
-    arrivals, served = [], []
+    arrivals, served, design = [], [], config.design
+    p_tx = None if design is None else un.transmit_probability(design, params)
     for block in blocks:
         rng = trial_rng(master_seed, point_index, block)
         arrivals.append(sample_arrivals(traffic, params.slot_s, rng, size=min(
@@ -165,10 +170,8 @@ def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficMode
         if config.family == COORDINATED:
             served.append([run_trial(config, params, int(n), rng) for n in arrivals[-1]])
             continue
-        design = config.design
         # Binomial(active, p_tx): how many i.i.d. uniform placements afford it
-        transmitting = rng.binomial(rng.binomial(arrivals[-1], design.access_prob),
-                                    un.transmit_probability(design, params))
+        transmitting = rng.binomial(rng.binomial(arrivals[-1], design.access_prob), p_tx)
         if design.scheme == NOMA:   # all or nothing: the cancellation chain
             served.append(np.where(un.noma_supported(
                 transmitting, design.target_snr, params), transmitting, 0))
@@ -355,9 +358,8 @@ def analytic_rows(config: SchemeConfig, params: SystemParams, lambda_grid,
     rows, digest = [], params.digest()
     for lam in _checked_grid(lambda_grid):
         traffic = TrafficModel(lam)
-        concrete = resolve_design(config, params, traffic)
-        analysis = un.uncoordinated_throughput(concrete.design, params, traffic)
-        rows.append(SweepRow(concrete.tag + "-analytic", lam, 1,
+        analysis = un.uncoordinated_throughput(_design(config, params, traffic), params, traffic)
+        rows.append(SweepRow(config.tag + "-analytic", lam, 1,
                              analysis.expected_success / params.slot_s, 0.0,
                              master_seed, digest))
     return rows

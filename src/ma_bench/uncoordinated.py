@@ -36,8 +36,8 @@ _RATE_TOL = 1e-9
 
 _LN2 = math.log(2.0)
 
-# Partition counts optimize_design evaluates per numpy pass: its temporaries
-# (~54 bytes per count) stay near 3.5 MB however fine the partition minima.
+# Partition counts optimize_design evaluates per numpy pass: a pass peaks near
+# 3.7 MB (~56 bytes per count) however fine the partition minima.
 _PARTITION_CHUNK = 1 << 16
 
 
@@ -114,9 +114,12 @@ def collision_probability(expected_transmitting, partitions):
     """
     if np.asarray(partitions).min() < 1:
         raise ValueError("partitions must be >= 1")
-    exponent = np.maximum(expected_transmitting, 1.0) - 1.0
-    collision = 1.0 - (1.0 - 1.0 / partitions) ** exponent
+    collision = _collision(1.0 - 1.0 / partitions, expected_transmitting)
     return collision if collision.ndim else float(collision)
+
+
+def _collision(base, expected_transmitting):   # base = 1 - 1/partitions, unchecked
+    return 1.0 - base ** (np.maximum(expected_transmitting, 1.0) - 1.0)
 
 
 def noma_device_cap(params: SystemParams) -> float:
@@ -235,9 +238,8 @@ def max_partitions(scheme: str, params: SystemParams) -> int:
 
 @functools.lru_cache(maxsize=2)
 def _load_free_terms(scheme: str, params: SystemParams, start: int, stop: int):
-    """The terms of optimize_design's partition counts start..stop-1 that do
-    not depend on the load: transmit probabilities and slotted-ALOHA peaks,
-    read-only, and the last count's log gain threshold."""
+    """The load-free terms of optimize_design's counts start..stop-1: p_tx,
+    slotted-ALOHA peaks and 1 - 1/N, read-only, and the last log threshold."""
     n = np.arange(start, stop, dtype=float)
     with np.errstate(over="ignore"):   # N ref_snr past the float range: threshold -inf
         log_threshold = _log_gain_threshold(scheme, n, params)
@@ -245,8 +247,9 @@ def _load_free_terms(scheme: str, params: SystemParams, start: int, stop: int):
     peak = -1.0 / np.log1p(-1.0 / np.maximum(n, 2.0))
     if start == 1:
         peak[0] = 1.0
-    tail.flags.writeable = peak.flags.writeable = False
-    return tail, peak, log_threshold[-1]
+    base = np.subtract(1.0, np.divide(1.0, n, out=n), out=n)   # 1 - 1/N, in n's place
+    tail.flags.writeable = peak.flags.writeable = base.flags.writeable = False
+    return tail, peak, base, log_threshold[-1]
 
 
 def optimize_design(scheme: str, params: SystemParams,
@@ -260,8 +263,9 @@ def optimize_design(scheme: str, params: SystemParams,
     N = 1). So the best access probability is 1 while A * p_tx <= m*, and
     m* / (A * p_tx) beyond it. Ties break toward fewer partitions; with
     nothing to deliver (zero load) the design is N = 1, access probability 0.
-    p_tx and m* do not depend on the load: they are cached per (scheme,
-    params, chunk), two chunks at most, so a sweep computes them once.
+    p_tx, m* and 1 - 1/N are cached per (scheme, params, chunk), two chunks
+    at most, so a sweep computes them once. The scan's vectorized numpy pow
+    may differ from uncoordinated_throughput's scalar one in the last ulp.
     """
     if scheme not in (FDMA, TDMA):
         raise ValueError("optimize_design covers fdma and tdma only")
@@ -269,11 +273,10 @@ def optimize_design(scheme: str, params: SystemParams,
     best, best_success, best_feasible, best_peak = 1, -math.inf, 0.0, 1.0
     for start in range(1, top + 1, _PARTITION_CHUNK):
         stop = min(start + _PARTITION_CHUNK, top + 1)
-        tail, peak, last_log_threshold = _load_free_terms(scheme, params, start, stop)
-        n = np.arange(start, stop, dtype=float)
+        tail, peak, base, last_log_threshold = _load_free_terms(scheme, params, start, stop)
         feasible = active * tail
         load = np.minimum(feasible, peak)
-        success = load * (1.0 - collision_probability(load, n))
+        success = load * (1.0 - _collision(base, load))
         i = int(np.argmax(success))
         if success[i] > best_success:   # first maximum over all chunks
             best, best_success = start + i, float(success[i])

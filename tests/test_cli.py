@@ -348,6 +348,30 @@ def test_second_main_call_builds_no_parser(monkeypatch, capsys):
     assert built == []
 
 
+def test_parser_declares_the_config_flags_once(monkeypatch):
+    # one shared parent: --config and the config flags once, --arrival-rate
+    # on three commands, -h on the parser and its four commands
+    declared = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        declared.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    cli._parser.cache_clear()
+    try:
+        cli._parser()
+    finally:
+        cli._parser.cache_clear()
+    assert len(declared) <= len(cli._KEY_PARSERS) + 9
+
+
+def test_importing_the_cli_builds_no_parser(fresh_modules):
+    # building the tree loads locale (argparse's gettext); import does neither
+    assert fresh_modules("import ma_bench.cli", ("locale",)) == []
+
+
 @pytest.mark.parametrize("argv, status", [
     (["cap", "--arrival-rate", "1000"], 0), (["cap", "--arrival-rate", "abc"], 1),
     ([], 2)], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))

@@ -393,6 +393,32 @@ def test_analytic_rows_uncoordinated_only(params):
             analytic_rows(SchemeConfig("uncoordinated", "noma"), params, grid, SEED)
 
 
+def test_analytic_rows_build_no_scheme_config_per_rate(params, monkeypatch):
+    grid = [100.0, 1000.0, 5000.0]
+    configs = [SchemeConfig("uncoordinated", scheme) for scheme in ("fdma", "tdma", "noma")]
+    configs.append(SchemeConfig("uncoordinated", "fdma",
+                                design=UncoordinatedDesign("fdma", 0.5, 10)))
+    expected = [[uncoordinated_throughput(resolve_design(config, params, TrafficModel(lam))
+                                          .design, params, TrafficModel(lam))
+                 .expected_success / params.slot_s for lam in grid] for config in configs]
+    built = []
+    monkeypatch.setattr(SchemeConfig, "__post_init__", lambda self: built.append(self))
+    rows = [analytic_rows(config, params, grid, SEED) for config in configs]
+    assert built == []
+    assert [[row.mean_throughput_pps for row in part] for part in rows] == expected
+
+
+def test_random_access_point_takes_its_transmit_probability_once(params, monkeypatch):
+    config = SchemeConfig("uncoordinated", "tdma", design=UncoordinatedDesign("tdma", 0.5, 8))
+    before = run_sweep(config, params, [100.0, 1000.0], 3 * BLOCK_TRIALS + 1, SEED)
+    calls = []
+    probability = sim.un.transmit_probability
+    monkeypatch.setattr(sim.un, "transmit_probability",
+                        lambda *args: calls.append(args) or probability(*args))
+    assert run_sweep(config, params, [100.0, 1000.0], 3 * BLOCK_TRIALS + 1, SEED) == before
+    assert len(calls) == 2   # one per point, not one per block
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("managed", "fdma")

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ma_bench import (NOMINAL, REDERIVED, Infeasible, SystemParams,
                       TrafficModel, UncoordinatedDesign, collision_probability,
@@ -440,7 +440,13 @@ def unchunked_design(scheme, params, traffic):
     load = np.minimum(feasible, peak)
     success = load * (1.0 - (1.0 - (1.0 - 1.0 / n) ** (np.maximum(load, 1.0) - 1.0)))
     best = int(np.argmax(success))
+    if not success[best] > 0.0:   # nothing to deliver
+        return 1, 0.0
     access = 1.0 if feasible[best] <= peak[best] else float(peak[best] / feasible[best])
+    # a lone partition: the reported load must not round past one transmitter
+    while best == 0 and uncoordinated_throughput(UncoordinatedDesign(
+            scheme, access, 1), params, traffic).expected_transmitting > 1.0:
+        access = math.nextafter(access, 0.0)
     return best + 1, access
 
 
@@ -461,6 +467,37 @@ def test_optimizer_memory_stays_bounded_at_a_million_partitions(scheme, payload_
         tracemalloc.stop()
     assert peak < 8_000_000
     assert (design.partitions, design.access_prob) == unchunked_design(scheme, fine, traffic)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(["fdma", "tdma"]), st.integers(1, 70_000),
+       st.floats(-6.0, 0.0), st.floats(1e-3, 1e3), st.floats(2.01, 8.0),
+       st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
+@example("fdma", 1, -0.48, 0.058, 7.36, 148563.0)   # the lone-partition step
+def test_optimizer_matches_the_unchunked_closed_form(scheme, partitions, log_load, ref_snr,
+                                                      pathloss_exp, lam):
+    # one or two chunks; the reference scores with the collision formula
+    # spelled out, not with the cached collision bases
+    params = SystemParams(payload_bits=1e6 * 10.0 ** log_load, ref_snr=ref_snr,
+                          pathloss_exp=pathloss_exp,
+                          min_subchannel_hz=1e6 / partitions, min_slot_s=1.0 / partitions)
+    traffic = TrafficModel(lam)
+    design = optimize_design(scheme, params, traffic)
+    assert (design.partitions, design.access_prob) == unchunked_design(scheme, params, traffic)
+
+
+@pytest.mark.parametrize("scheme", ["fdma", "tdma"])
+@pytest.mark.parametrize("minima, grid", [
+    ({}, np.linspace(1000.0, 20000.0, 16)),
+    ({"min_slot_s": 1e-4, "min_subchannel_hz": 100.0}, np.linspace(1000.0, 20000.0, 3)),
+], ids=["default", "fine-minima"])
+def test_optimizer_matches_the_unchunked_closed_form_on_the_benchmark_grids(scheme, minima,
+                                                                           grid):
+    params = SystemParams(**minima)
+    for lam in grid.tolist():
+        design = optimize_design(scheme, params, TrafficModel(lam))
+        assert (design.partitions, design.access_prob) == unchunked_design(
+            scheme, params, TrafficModel(lam))
 
 
 @settings(max_examples=60)
@@ -505,8 +542,8 @@ def test_optimizer_term_cache_is_read_only_and_holds_two_chunks(params):
     for lam in (1000.0, 20000.0):
         optimize_design("fdma", params, TrafficModel(lam))
     assert un._load_free_terms.cache_info()[:2] == (1, 1)   # (hits, misses)
-    tail, peak, _ = un._load_free_terms("fdma", params, 1, 1001)
-    for terms in (tail, peak):
+    tail, peak, base, _ = un._load_free_terms("fdma", params, 1, 1001)
+    for terms in (tail, peak, base):
         with pytest.raises(ValueError, match="read-only"):
             terms[0] = 0.0
     fine = SystemParams(payload_bits=10.0, min_subchannel_hz=1.0, min_slot_s=1e-6)
