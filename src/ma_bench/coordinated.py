@@ -25,7 +25,6 @@ count, the same scan at zero slack is the exact sum.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst,
-                    SystemParams, strongest_gain)
+                    SystemParams)
 
 _LN2 = math.log(2.0)
 
@@ -223,12 +222,6 @@ def tdma_min_time(gain: float, params: SystemParams) -> float:
     return float(_min_time_array(np.array([gain]), params)[0])
 
 
-def _quiet(may_overflow: bool):
-    """Ignore overflow where it is expected; elsewhere enter no errstate."""
-    return np.errstate(over="ignore", divide="ignore") if may_overflow \
-        else contextlib.nullcontext()
-
-
 def _shares(gains: np.ndarray, params: SystemParams) -> np.ndarray:
     """The time shares: payload ln 2 / (W log1p(ref_snr * gain)). A step
     that overflows gives the right share, inf or 0."""
@@ -237,32 +230,16 @@ def _shares(gains: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
-    """_shares, without warnings where the params let a step overflow."""
-    with _quiet(_edge_demand(_shares, params, 0.0)[1]):
+    """_shares, without warnings where a step overflows to the right share."""
+    with np.errstate(over="ignore", divide="ignore"):
         return _shares(gains, params)
 
 
-def _gain_ends(params: SystemParams) -> np.ndarray:
-    """1, the cell edge, and model.strongest_gain capped at the largest float."""
-    return np.array([1.0, min(strongest_gain(params.pathloss_exp), np.finfo(float).max)])
-
-
 @lru_cache(maxsize=64)
-def _edge_demand(per_device, params: SystemParams, minimum: float) -> tuple[float, bool]:
-    """Demand of a cell-edge device (gain 1), padded up to ``minimum``, and
-    whether ``per_device`` overflows for some gain a placement can draw.
-    Every step of _shares is monotone in the gain, so the two ends of those
-    gains decide that; a hand-built gain past them may warn. The FDMA
-    solver keeps its own overflow quiet (_newton_widths)."""
-    try:
-        with np.errstate(over="raise", divide="raise"):
-            per_device(_gain_ends(params), params)
-        may_overflow = False
-    except FloatingPointError:
-        may_overflow = True
-    with _quiet(may_overflow):
-        demand = float(per_device(np.ones(1), params)[0])
-    return max(demand, minimum), may_overflow
+def _edge_demand(per_device, params: SystemParams, minimum: float) -> float:
+    """Demand of a cell-edge device (gain 1), padded up to ``minimum``. It
+    runs inside _admitted_count's errstate."""
+    return max(float(per_device(np.ones(1), params)[0]), minimum)
 
 
 def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -> bool:
@@ -357,16 +334,17 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     have made (drain), so its generator ends where a full read leaves it.
     Reading a slice makes the same draws as draining its chunk, so the count
     alone sets where the generator ends.
+
+    All of this runs with numpy's overflow and divide-by-zero warnings off.
+    A demand or running sum that overflows, or a share whose divisor rounds
+    to 0, is inf or 0, the right answer, and _scan's proof covers inf
+    demands and sums. Invalid operations still warn: a NaN is a bug.
     """
     n = len(devices)
     limit = budget * (1.0 + _BUDGET_TOL)
-    edge, may_overflow = _edge_demand(exact, params, minimum)
-    edge *= 1.0 + 2.0 ** -50
     parts, read = iter(devices.gain_chunks()), []
-    # Decided once per slot: no demand exceeds edge, so unless this holds
-    # no running sum of the n demands reaches 2**1023. An inf sum or demand
-    # is then the right answer.
-    with _quiet(may_overflow or not n * edge <= 2.0 ** 1022):
+    with np.errstate(over="ignore", divide="ignore"):
+        edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
         if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
             gamma = n * _U / (1.0 - n * _U)
             count = _scan(devices, parts, read, params, fast, limit, minimum, edge,

@@ -19,7 +19,6 @@ band, and ``bandwidth_ratio`` the total bandwidth over the occupied one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -154,13 +153,6 @@ class DeviceSet:
 _NEAREST = 2.0 ** -53
 
 
-def strongest_gain(pathloss_exp: float) -> float:
-    """Bound on every gain a placement draws, v >= _NEAREST: 2**(26.5 pathloss_exp)
-    padded by 2**-20, inf past the float range (pathloss_exp >= 2046 / 53)."""
-    exponent = 26.5 * pathloss_exp
-    return 2.0 ** exponent * (1.0 + 2.0 ** -20) if exponent < 1023 else math.inf
-
-
 class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
@@ -174,8 +166,9 @@ class StrongestFirst:
     first ``done`` devices draws k exponentials and one Gamma(n + 1 - done - k)
     for the rest of the sum, rescaled to the gap still left above v_(done) (a
     Dirichlet split), so every prefix has exactly the law of the n uniform
-    placements sorted nearest first. Gains are v**(-pathloss_exp / 2); where
-    strongest_gain is inf, the strongest can overflow to inf, which the
+    placements sorted nearest first. Gains are v**(-pathloss_exp / 2), up to
+    rounding at most 2**(26.5 pathloss_exp) as v >= _NEAREST; from
+    pathloss_exp 2046 / 53 on, the strongest can overflow to inf, which the
     kernels take as a device needing no resource.
 
     Chunks draw from ``rng`` as they are read: read each instance once.
@@ -186,7 +179,7 @@ class StrongestFirst:
             raise ValueError("count must be >= 0")
         self.count = count
         self._half_exp = 0.5 * pathloss_exp
-        self._may_overflow = strongest_gain(pathloss_exp) == math.inf   # decided once
+        self._may_overflow = 26.5 * pathloss_exp >= 1023   # decided once
         self._rng = rng
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
 
@@ -260,12 +253,7 @@ def channel_gain(normalized_distance, pathloss_exp: float):
         raise ValueError("pathloss_exp must be > 0")
     if np.any(u <= 0) or np.any(u > 1):
         raise ValueError("normalized distance must lie in (0, 1]")
-    # Decided once, not per device: the nearest gain is finite (below
-    # 2**1023) unless this holds, and an inf gain is then expected.
-    if u.size and -pathloss_exp * math.log2(u.min()) >= 1023:
-        with np.errstate(over="ignore"):
-            out = u ** (-pathloss_exp)
-    else:
+    with np.errstate(over="ignore"):   # a gain past the float range is inf
         out = u ** (-pathloss_exp)
     return out if out.ndim else float(out)
 

@@ -241,23 +241,43 @@ def test_overflowing_time_shares_are_zero_or_inf_without_warnings():
         assert tdma_admitted_count(DeviceSet([1e12, 1e12, 1.0]), tiny, enforce_minimum) == 0
     # finite shares whose sum overflows although no share can
     wide = SystemParams(bandwidth_hz=1e-303, min_subchannel_hz=1e-304, slot_s=1e303)
-    assert not coordinated._edge_demand(coordinated._shares, wide, 0.0)[1]
     assert tdma_admitted_count(DeviceSet(np.ones(3000)), wide) == 0
 
 
-def test_default_time_shares_enter_no_errstate(params, monkeypatch):
-    # whether a share or a sum can overflow is decided per slot, from
-    # cached per-params checks over the gains a placement can draw: the
-    # default path enters no errstate, nor does a larger cell-edge SNR
+def test_hand_built_gains_past_the_placement_bound_need_no_time_without_warnings():
+    # ref_snr * gain overflows for gains no placement draws: a share of 0
+    high = SystemParams(ref_snr=1e10)
+    allocation = tdma_kmax(DeviceSet([1e300, 1e300, 1.0]), high)
+    assert allocation.resources.tolist() == [0.0, 0.0, 3.010299956626738e-05]
+    assert tdma_min_time(1e300, high) == 0.0
+
+
+def test_admission_ignores_overflow_and_divide_but_not_invalid(params, monkeypatch):
+    # an overflowed demand or running sum is the right answer, inf or 0, so
+    # admission runs quiet for it; an invalid operation (a NaN) still warns
+    states = []
+
+    def recording(name):
+        kernel = getattr(coordinated, name)
+
+        def record(gains, params):
+            states.append((name, np.geterr()))
+            return kernel(gains, params)
+
+        monkeypatch.setattr(coordinated, name, record)
+
+    recording("_shares")
+    recording("_bracketed_widths")
     cases = [params, dataclasses.replace(params, ref_snr=10.0),
              dataclasses.replace(params, ref_snr=1e6, pathloss_exp=30.0)]
     for case, enforce_minimum in itertools.product(cases, (False, True)):
-        tdma_admitted_count(StrongestFirst(1, 4.0, trial_rng(6, 0)), case, enforce_minimum)
-    monkeypatch.setattr(np, "errstate", None)
-    for case, enforce_minimum in itertools.product(cases, (False, True)):
-        assert tdma_admitted_count(StrongestFirst(20_000, case.pathloss_exp, trial_rng(6, 0)),
-                                   case, enforce_minimum) > 0
+        for count in (tdma_admitted_count, fdma_admitted_count):
+            assert count(StrongestFirst(20_000, case.pathloss_exp, trial_rng(6, 0)),
+                         case, enforce_minimum) > 0
         assert tdma_min_time(1.0, case) > 0
+    assert {name for name, _ in states} == {"_shares", "_bracketed_widths"}
+    for _, state in states:
+        assert state["over"] == state["divide"] == "ignore" and state["invalid"] != "ignore"
 
 
 def test_min_bandwidth_converged_bracket_straddles_root(params):
@@ -545,10 +565,20 @@ def test_default_slots_need_no_exact_sum(count, monkeypatch):
     slots = [(arrivals, seed, enforce) for arrivals in (5000, 10_000, 15_000, 20_000)
              for seed in range(4 if count is fdma_admitted_count else 12)
              for enforce in (False, True)]
+    walked, walk = [], coordinated.min_bandwidth_array
+
+    def recorded(gains, params):
+        walked.append(np.array(gains, dtype=float))
+        return walk(gains, params)
+
+    monkeypatch.setattr(coordinated, "min_bandwidth_array", recorded)
     for arrivals, seed, enforce in slots:
         devices = StrongestFirst(arrivals, params.pathloss_exp, trial_rng(seed, arrivals))
         count(devices, params, enforce)
     assert len(results) == len(slots) and None not in results
+    # the exact FDMA walk runs only for the cell-edge demand, once per minimum
+    assert [gains.tolist() for gains in walked] == (
+        [[1.0]] * 2 if count is fdma_admitted_count else [])
 
 
 def padded_cell_edge_cases(budget, minimum, n, base):

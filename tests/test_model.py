@@ -183,7 +183,7 @@ def test_device_set_rejects_bad_input():
         DeviceSet(np.array([2.0, 0.5]))       # below cell-edge gain
 
 
-def test_placed_gain_overflow_is_decided_once_per_call(monkeypatch):
+def test_placed_gains_past_the_float_range_are_inf_without_warnings(monkeypatch):
     # from pathloss_exp 2046 / 53 on, the nearest placements' gains are inf:
     # expected, so no warning (an error here), and the set is still sorted
     gains = make_device_set(1000, SystemParams(pathloss_exp=1000), trial_rng(1, 0)).gains

@@ -16,7 +16,7 @@ from ma_bench import (BLOCK_TRIALS, Infeasible, SystemParams, TrafficModel,
 from ma_bench import sim
 from ma_bench.sim import SchemeConfig
 from ma_bench.model import channel_gain, sample_placement, trial_rng
-from ma_bench.uncoordinated import noma_supported, transmit_probability
+from ma_bench.uncoordinated import noma_device_cap, noma_supported, transmit_probability
 
 SEED = 42
 
@@ -353,6 +353,35 @@ def test_random_access_mean_tracks_analytic(params):
                           params, lam, trials=2000)
     se = served.std(ddof=1) / math.sqrt(served.size)
     assert abs(served.mean() - analytic) <= 4.0 * se
+
+
+def poisson_cdf(k, mean):
+    """P(Poisson(mean) <= k), term by term from logs."""
+    return math.fsum(math.exp(j * math.log(mean) - mean - math.lgamma(j + 1.0))
+                     for j in range(k + 1))
+
+
+@pytest.mark.parametrize("scheme", ["fdma", "tdma", "noma"])
+def test_random_access_mean_matches_the_exact_poisson_mean(params, scheme):
+    # Transmitters are Poisson(m), m = lam slot access_prob p_tx, so partition
+    # occupancies are i.i.d. Poisson(m / N) (Poisson splitting): N partitions
+    # serve m e^(-m / N) lone transmitters on average. NOMA serves all T
+    # transmitters when T <= n_sup, the most noma_supported accepts, else
+    # none: m P(Poisson(m) <= n_sup - 1). Two-sided, unlike criterion 5.
+    for lam in (1000.0, 5000.0, 20000.0):
+        traffic = TrafficModel(lam)
+        config = resolve_design(SchemeConfig("uncoordinated", scheme), params, traffic)
+        design = config.design
+        m = lam * params.slot_s * design.access_prob * transmit_probability(design, params)
+        if scheme == "noma":
+            n_sup = max(n for n in range(1, int(noma_device_cap(params)) + 2)
+                        if noma_supported(n, design.target_snr, params))
+            exact = m * poisson_cdf(n_sup - 1, m)
+        else:
+            exact = m * math.exp(-m / design.partitions)
+        served = simulate_point(config, params, traffic, SEED, 0, 4096).served.astype(float)
+        se = served.std(ddof=1) / math.sqrt(served.size)
+        assert abs(served.mean() - exact) < 4.0 * se, (lam, served.mean(), exact, se)
 
 
 def test_uncoordinated_noma_all_or_nothing(params):
