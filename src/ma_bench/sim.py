@@ -39,11 +39,17 @@ MAX_TRIALS = BLOCK_TRIALS << 32
 # Largest mean numpy's Poisson sampler draws (int64 max less ten standard
 # deviations): a larger arrival_rate * slot_s cannot be simulated.
 POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
-# int64 values a chunk of the collision step holds at once (96 KB), or one
-# slot's worth if more. glibc keeps 128 KB atop the heap when it trims it,
-# so every chunk reuses resident pages; larger chunks can, depending on the
-# heap layout, be trimmed off the heap and faulted back in on every chunk.
-_CHUNK_VALUES = 12288
+# Bytes the collision step holds live at once for a chunk of slots, or one
+# slot's worth if more (see _alone). Chosen by measurement: in interleaved
+# in-process rounds of the default FDMA and TDMA random-access grids (1,000
+# partitions, ~1,000 transmitters a slot; 2-vCPU Xeon, numpy 2.4.6), times
+# relative to a 96 KB budget (6 slots a chunk) were 0.87-0.94 at
+# 192 KB (11 slots), 0.80-0.85 at 384 KB (23), 0.81-0.90 at 768 KB (46) and
+# 1.37-1.45 at 1.5 MB (the whole 64-slot block). Below the optimum numpy's
+# per-call overhead dominates; above it the large fresh arrays cost more
+# than the calls they save (~55,000 minor page faults a grid at 1.5 MB,
+# tens at 384 KB).
+_CHUNK_BYTES = 393_216
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,14 @@ def _alone(transmitting: np.ndarray, partitions: int,
            rng: np.random.Generator) -> np.ndarray:
     """Per slot, the transmitters alone in the partition each picked uniformly.
 
-    A chunk of slots holds about _CHUNK_VALUES values at once: keys and their
-    offsets, then keys and occupancy counts. The picks are one stream of
-    draws, so the chunk size does not change the result."""
+    Each transmitter gets one pick from the block's stream, in slot order,
+    and the picks are counted a chunk of slots at a time. Per slot a chunk
+    holds, on average, 8 bytes per transmitter for its keys, plus either
+    the picks being added to them (8 per transmitter) or its occupancy
+    counts and their lone mask (9 per partition). The chunk size sets memory
+    and speed, never a draw."""
     mean = transmitting.mean()
-    step = max(1, int(_CHUNK_VALUES // (mean + max(mean, partitions))))
+    step = max(1, int(_CHUNK_BYTES // (8 * mean + max(8 * mean, 9 * partitions))))
     offsets = np.arange(0, min(step, transmitting.size) * partitions, partitions)
     return np.concatenate([_alone_in_chunk(transmitting[first:first + step], offsets,
                                            partitions, rng)
@@ -153,9 +162,8 @@ def _alone_in_chunk(chunk: np.ndarray, offsets: np.ndarray, partitions: int,
                     rng: np.random.Generator) -> np.ndarray:
     keys = np.repeat(offsets[:chunk.size], chunk)
     keys += rng.integers(0, partitions, size=keys.size)
-    occupancy = np.bincount(keys, minlength=chunk.size * partitions)
-    np.equal(occupancy, 1, out=occupancy)   # summing a bool mask would copy it as int64
-    return occupancy.reshape(chunk.size, -1).sum(axis=1)
+    lone = np.bincount(keys, minlength=chunk.size * partitions) == 1
+    return lone.reshape(chunk.size, -1).sum(axis=1)
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,

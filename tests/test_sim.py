@@ -512,29 +512,45 @@ def test_many_partitions_resolve_collisions_by_transmitter(params):
     assert abs(counts.served.mean() - analytic) <= 4.0 * se
 
 
-@pytest.mark.parametrize("chunk_values", [1, 700, 10**9])
-def test_collision_chunking_does_not_change_counts(monkeypatch, chunk_values):
-    # one slot per chunk, a few slots, the whole block: the same picks
-    transmitting = np.array([0, 3, 950, 1, 0, 4000, 17, 1000] * 8)
-    expected = sim._alone(transmitting, 1000, np.random.default_rng(SEED))
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
-    assert np.array_equal(sim._alone(transmitting, 1000, np.random.default_rng(SEED)),
-                          expected)
+def _alone_slot_by_slot(transmitting, partitions, rng):
+    """Oracle: each slot's picks drawn in slot order and counted on their own."""
+    return [np.count_nonzero(np.bincount(rng.integers(0, partitions, size=t),
+                                         minlength=partitions) == 1)
+            for t in transmitting]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, pytest.param(None, id="default"), 10**9])
+def test_collision_chunking_does_not_change_counts(monkeypatch, chunk_bytes):
+    # one slot per chunk, the default chunks, the whole block: the same picks
+    # and the same counts as a slot-by-slot count from the same generator
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", chunk_bytes)
+    for partitions in (1, 2, 1000, 100_000):
+        # idle, lone and more-than-partitions slots; 40 slots let the default
+        # budget split 1,000 partitions into a full chunk and a ragged one
+        slots = [0, 1, 2 * partitions + 1, 0, 1, partitions // 2, partitions + 1, 3]
+        transmitting = np.array(slots * (5 if partitions <= 1000 else 1))
+        expected = _alone_slot_by_slot(transmitting, partitions,
+                                       np.random.default_rng(SEED))
+        assert sim._alone(transmitting, partitions,
+                          np.random.default_rng(SEED)).tolist() == expected
 
 
 def test_collision_step_memory_is_bounded_per_chunk(params):
-    # ~1000 transmitters in each of 1000 partitions per slot: a block's keys
-    # and counts would take ~1 MB; a chunk holds 96 KB of them at once
+    # ~1000 transmitters in each of 1000 partitions per slot: a block's keys,
+    # counts and lone mask would take ~1.1 MB; a chunk holds 384 KB at once
     traffic = TrafficModel(10000.0)
     config = resolve_design(SchemeConfig("uncoordinated", "fdma"), params, traffic)
     assert config.design.partitions == 1000
+    # a first call imports numpy.random (~0.9 MB traced): keep it out of the peak
+    simulate_point(config, params, traffic, SEED, 0, 1)
     tracemalloc.start()
     try:
         simulate_point(config, params, traffic, SEED, 0, 2 * BLOCK_TRIALS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * sim._CHUNK_VALUES + 32_000
+    assert peak < 430_000
 
 
 def test_binomial_thinning_matches_placement_geometry():
