@@ -17,6 +17,6 @@ from .uncoordinated import (NOMINAL, REDERIVED, UncoordinatedAnalysis,
                             uncoordinated_throughput)
 from .sim import (BLOCK_TRIALS, SchemeConfig, SweepRow, TrialCounts, TrialStats,
                   aggregate, analytic_rows, resolve_design, run_sweep, run_trial,
-                  simulate_point)
+                  simulate_point, sweep)
 
 __version__ = "0.1.0"

@@ -205,25 +205,9 @@ def _scheme_configs(config: RunConfig, family: str | None = None) -> list[sim.Sc
     return selected
 
 
-def _rows(config: RunConfig, scheme_config: sim.SchemeConfig,
-          grid: list[float]) -> list[sim.SweepRow]:
-    """One scheme's rows over ``grid`` in the configured mode: analytic rows
-    (mode=both skips them for coordinated schemes, which have none), then
-    Monte Carlo rows."""
-    rows = []
-    if config.mode == "analytic" or (config.mode == "both"
-                                     and scheme_config.family == UNCOORDINATED):
-        rows += sim.analytic_rows(scheme_config, config.params, grid, config.master_seed)
-    if config.mode != "analytic":
-        rows += sim.run_sweep(scheme_config, config.params, grid, config.trials,
-                              config.master_seed, workers=config.workers)
-    return rows
-
-
 def _cmd_sweep(config: RunConfig) -> int:
-    grid = config.lambda_grid()
-    rows = [row for scheme_config in _scheme_configs(config)
-            for row in _rows(config, scheme_config, grid)]
+    rows = sim.sweep(_scheme_configs(config), config.params, config.lambda_grid(),
+                     config.trials, config.master_seed, config.workers, config.mode)
     emit_csv(rows, config.output_path)
     print(f"wrote {len(rows)} rows to {config.output_path}", file=sys.stderr)
     return 0
@@ -233,8 +217,9 @@ def _cmd_coordinated(config: RunConfig, arrival_rate: float) -> int:
     lines = [f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
              f"seed={config.master_seed}  enforce_minimum={config.enforce_minimum}",
              f"{'scheme':<20} {'mean_served':>12} {'throughput_pps':>15} {'ci95':>10}"]
-    for scheme_config in _scheme_configs(config, COORDINATED):
-        (row,) = _rows(config, scheme_config, [arrival_rate])   # the one-rate sweep row
+    # each scheme's one-rate sweep row
+    for row in sim.sweep(_scheme_configs(config, COORDINATED), config.params, [arrival_rate],
+                         config.trials, config.master_seed, config.workers, config.mode):
         served = row.mean_throughput_pps * config.params.slot_s
         lines.append(f"{row.scheme:<20} {served:>12.3f} "
                      f"{row.mean_throughput_pps:>15.3f} {row.ci95_halfwidth:>10.3f}")
@@ -251,22 +236,23 @@ def _cmd_uncoordinated(config: RunConfig, arrival_rate: float) -> int:
         header += f" {'mc_pps':>10} {'mc_ci95':>9}"
     lines = [f"arrival_rate={arrival_rate:g} packets/s  trials={config.trials}  "
              f"seed={config.master_seed}", header]
-    for scheme_config in _scheme_configs(config, UNCOORDINATED):
-        concrete = sim.resolve_design(scheme_config, config.params, traffic)
+    concretes = [sim.resolve_design(scheme_config, config.params, traffic)
+                 for scheme_config in _scheme_configs(config, UNCOORDINATED)]
+    for concrete in concretes:
         design = concrete.design
         analysis = un.uncoordinated_throughput(design, config.params, traffic)
         target = f"{design.target_snr:.6g}" if design.target_snr else "-"
-        line = (f"{concrete.tag:<20} {design.access_prob:>9.4f} "
-                f"{design.partitions:>6d} {target:>12} "
-                f"{analysis.expected_active:>10.2f} "
-                f"{analysis.expected_transmitting:>10.2f} "
-                f"{analysis.collision_prob:>8.4f} "
-                f"{analysis.expected_success / config.params.slot_s:>13.3f}")
-        if with_mc:   # the one-rate sweep row, at the design resolved above
-            (row,) = sim.run_sweep(concrete, config.params, [arrival_rate], config.trials,
-                                   config.master_seed, workers=config.workers)
-            line += f" {row.mean_throughput_pps:>10.3f} {row.ci95_halfwidth:>9.3f}"
-        lines.append(line)
+        lines.append(f"{concrete.tag:<20} {design.access_prob:>9.4f} "
+                     f"{design.partitions:>6d} {target:>12} "
+                     f"{analysis.expected_active:>10.2f} "
+                     f"{analysis.expected_transmitting:>10.2f} "
+                     f"{analysis.collision_prob:>8.4f} "
+                     f"{analysis.expected_success / config.params.slot_s:>13.3f}")
+    if with_mc:   # each scheme's one-rate sweep row, at the design resolved above
+        rows = sim.sweep(concretes, config.params, [arrival_rate], config.trials,
+                         config.master_seed, config.workers, "montecarlo")
+        lines[2:] = [f"{line} {row.mean_throughput_pps:>10.3f} {row.ci95_halfwidth:>9.3f}"
+                     for line, row in zip(lines[2:], rows)]
     print("\n".join(lines))
     return 0
 

@@ -293,36 +293,55 @@ def _received(payload: bytes, status: int) -> list[np.ndarray]:
     return result
 
 
-def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
-              trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
-    """One SweepRow per arrival rate.
+def sweep(configs, params: SystemParams, lambda_grid, trials: int, master_seed: int,
+          workers: int = 1, mode: str = "both") -> list[SweepRow]:
+    """A command's rows in CSV order: per config, its analytic rows (mode
+    ``analytic``, which rejects coordinated configs, or ``both`` if
+    uncoordinated; tag suffixed ``-analytic``, trials = 1), then its Monte
+    Carlo rows (mode ``montecarlo`` or ``both``).
 
-    Substreams are keyed on (master_seed, point index, block index), so
-    equal inputs and master_seed give bit-identical rows for any worker
-    count. Each point's blocks are split into at most ``workers`` contiguous
-    shares (``workers`` capped by _usable_cpus), merged by block index. This
-    process runs share 0 of every point; a process forked per other share
-    runs it over every point, so no point waits for the one before it, and
-    sends its counts back through a pipe. Every point's design is resolved
-    first, so a design error raises before any fork. A share's exception is
-    raised here; a forked process that dies raises ChildProcessError. No
-    forked process outlives the call.
+    The grid is checked first, then trials and workers if any row is
+    simulated; then each (config, rate) design is resolved once, all before
+    any load is checked or process forked. Substreams are keyed on
+    (master_seed, rate index, block index), so the rows are bit-identical
+    for any worker count. Each point's blocks are split into at most
+    ``workers`` contiguous shares (capped by _usable_cpus). This process
+    runs share 0 of every config's every point; a process forked per other
+    share runs that share of all of them and sends its counts back through a
+    pipe. A share's exception is raised here; a forked process that dies
+    raises ChildProcessError. No forked process outlives the call.
     """
     grid = _checked_grid(lambda_grid)
-    _check_trials(trials)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    simulate = mode != "analytic"
+    if simulate:
+        _check_trials(trials)
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+    traffics = [TrafficModel(lam) for lam in grid]
+    tables, runs, digest = [], [], params.digest()   # a table per config; every point's run
+    for config in configs:
+        analytic = mode == "analytic" or (mode == "both" and config.family == UNCOORDINATED)
+        if analytic and config.family != UNCOORDINATED:
+            raise ValueError(f"{config.tag}: coordinated schemes have no closed form; "
+                             "use mode=montecarlo or mode=both")
+        tables.append([])
+        for index, (lam, traffic) in enumerate(zip(grid, traffics)):
+            design = _design(config, params, traffic)
+            if analytic:
+                success = un.uncoordinated_throughput(design, params, traffic).expected_success
+                tables[-1].append(SweepRow(config.tag + "-analytic", lam, 1,
+                                           success / params.slot_s, 0.0, master_seed, digest))
+            if simulate:
+                runs.append(partial(_run_blocks, replace(config, design=design), params,
+                                    traffic, master_seed, index, trials))
+    if not simulate:
+        return [row for table in tables for row in table]
+    for traffic in traffics:
+        _check_load(traffic, params)
 
     blocks = range(-(-trials // BLOCK_TRIALS))
     step = -(-len(blocks) // min(workers, _usable_cpus()))
     shares = [blocks[first:first + step] for first in range(0, len(blocks), step)]
-    runs = []
-    for index, lam in enumerate(grid):
-        traffic = TrafficModel(lam)
-        runs.append(partial(_run_blocks, resolve_design(config, params, traffic), params,
-                            traffic, master_seed, index, trials))
-        _check_load(traffic, params)
-
     children = []   # (pid, read fd) of each share after the first, until reaped
     try:
         for share in shares[1:]:
@@ -341,33 +360,23 @@ def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
-    served = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+    served = iter(parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)])
 
-    rows, digest = [], params.digest()
-    for lam, counts in zip(grid, served):
-        stats = aggregate(counts, params)
-        rows.append(SweepRow(config.tag, lam, trials, stats.mean_throughput_pps,
-                             stats.ci95_halfwidth_pps, master_seed, digest))
-    return rows
+    for config, table in zip(configs, tables):
+        for lam, counts in zip(grid, served):
+            stats = aggregate(counts, params)
+            table.append(SweepRow(config.tag, lam, trials, stats.mean_throughput_pps,
+                                  stats.ci95_halfwidth_pps, master_seed, digest))
+    return [row for table in tables for row in table]
+
+
+def run_sweep(config: SchemeConfig, params: SystemParams, lambda_grid,
+              trials: int, master_seed: int, workers: int = 1) -> list[SweepRow]:
+    """One Monte Carlo SweepRow per arrival rate (see sweep)."""
+    return sweep([config], params, lambda_grid, trials, master_seed, workers, "montecarlo")
 
 
 def analytic_rows(config: SchemeConfig, params: SystemParams, lambda_grid,
                   master_seed: int) -> list[SweepRow]:
-    """Closed-form counterpart of run_sweep for uncoordinated schemes.
-
-    Rows carry the scheme tag suffixed with ``-analytic`` and trials = 1 (a
-    single deterministic evaluation). The grid must be non-empty and strictly
-    increasing, as for run_sweep. Coordinated schemes have no closed form and
-    are rejected.
-    """
-    if config.family != UNCOORDINATED:
-        raise ValueError(f"{config.tag}: coordinated schemes have no closed form; "
-                         "use mode=montecarlo or mode=both")
-    rows, digest = [], params.digest()
-    for lam in _checked_grid(lambda_grid):
-        traffic = TrafficModel(lam)
-        analysis = un.uncoordinated_throughput(_design(config, params, traffic), params, traffic)
-        rows.append(SweepRow(config.tag + "-analytic", lam, 1,
-                             analysis.expected_success / params.slot_s, 0.0,
-                             master_seed, digest))
-    return rows
+    """Closed-form counterpart of run_sweep for uncoordinated schemes (see sweep)."""
+    return sweep([config], params, lambda_grid, 1, master_seed, mode="analytic")

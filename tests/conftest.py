@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -44,6 +45,25 @@ def in_forked_share(monkeypatch):
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
 
     return install
+
+
+@pytest.fixture
+def fork_log(monkeypatch):
+    """Wraps sim._fork so that each forked share's task runs in this process,
+    where it is logged as its (point index, blocks) pairs, and the forked
+    process only sends the result back. Counts the forks."""
+    log = SimpleNamespace(forks=0, submitted=[])
+    fork = sim._fork
+
+    def recording_fork(task):
+        runs, share = task.args
+        log.forks += 1
+        log.submitted += [(run.args[4], share) for run in runs]
+        result = task()
+        return fork(lambda: result)
+
+    monkeypatch.setattr(sim, "_fork", recording_fork)
+    return log
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -567,6 +568,9 @@ def test_rederived_noma_sweep_delivers_at_saturated_rates(tmp_path, capsys):
     ["cap", "--slot-s", "10", "--arrival-rate", "1e308"],
     ["sweep", "--schemes", "uncoordinated-noma", "--ref-snr", "1e300",
      "--lambda-min", "1e3", "--lambda-max", "1e9", "--lambda-steps", "2"],
+    # also past the Poisson limit: every design resolves before any load is checked
+    ["sweep", "--mode", "both", "--schemes", "uncoordinated-noma,uncoordinated-tdma",
+     "--slot-s", "10", "--lambda-max", "1e308", "--trials", "3"],
 ])
 def test_noma_target_beyond_the_float_range_is_one_error_line(argv, tmp_path, capsys):
     if argv[0] == "sweep":
@@ -795,6 +799,57 @@ def test_sweep_bytes_are_pinned_at_any_worker_count(case, workers, tmp_path, mon
                           "--workers", workers, "--output", str(out_path)], capsys)
     assert status == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == golden
+
+
+def test_three_scheme_sweep_solves_each_design_once(tmp_path, monkeypatch, capsys):
+    # mode=both: the analytic and the Monte Carlo row of a rate share one design
+    solves = Counter()
+    for name in ("optimize_design", "noma_design"):
+        def counted(*args, solve=getattr(sim.un, name), name=name):
+            solves[name] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(sim.un, name, counted)
+    status, _, err = run(["sweep", "--schemes", UNCOORDINATED_SCHEMES, "--trials", "64",
+                          "--output", str(tmp_path / "rows.csv")], capsys)
+    assert status == 0, err
+    assert solves == {"optimize_design": 16, "noma_design": 8}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--schemes", UNCOORDINATED_SCHEMES],
+    ["uncoordinated", "--arrival-rate", "2000"],
+], ids=lambda argv: argv[0])
+def test_one_set_of_forks_serves_every_scheme(argv, fork_log, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    status, _, err = run(argv + ["--trials", "128", "--workers", "2",
+                                 "--output", str(tmp_path / "rows.csv")], capsys)
+    assert status == 0, err
+    assert fork_log.forks == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_mixed_scheme_sweep_is_the_single_scheme_sweeps_in_turn(mode, workers, tmp_path,
+                                                               monkeypatch, capsys):
+    # families mixed, out of their usual order; coordinated schemes have no
+    # analytic rows, so mode=analytic keeps the uncoordinated ones
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    schemes = [scheme for scheme in ("uncoordinated-noma", "coordinated-tdma",
+                                     "uncoordinated-fdma")
+               if mode != "analytic" or scheme.startswith("uncoordinated")]
+
+    def csv_lines(schemes):
+        out_path = tmp_path / "rows.csv"
+        status, _, err = run(["sweep", "--schemes", ",".join(schemes), "--mode", mode,
+                              "--lambda-min", "100", "--lambda-max", "400",
+                              "--lambda-steps", "2", "--trials", "128", "--master-seed", "5",
+                              "--workers", workers, "--output", str(out_path)], capsys)
+        assert status == 0, err
+        return out_path.read_text().splitlines()
+
+    single = [line for scheme in schemes for line in csv_lines([scheme])[1:]]
+    assert csv_lines(schemes) == [CSV_HEADER] + single
 
 
 @pytest.mark.parametrize("argv", [

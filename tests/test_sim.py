@@ -3,7 +3,6 @@ import os
 import time
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,25 +131,6 @@ def test_sweep_workers_do_not_change_results(params, monkeypatch):
                                  workers=workers) == serial
 
 
-@pytest.fixture
-def fork_log(monkeypatch):
-    """Wraps sim._fork so that each forked share's task runs in this process,
-    where it is logged as its (point index, blocks) pairs, and the forked
-    process only sends the result back. Counts the forks."""
-    log = SimpleNamespace(forks=0, submitted=[])
-    fork = sim._fork
-
-    def recording_fork(task):
-        runs, share = task.args
-        log.forks += 1
-        log.submitted += [(run.args[4], share) for run in runs]
-        result = task()
-        return fork(lambda: result)
-
-    monkeypatch.setattr(sim, "_fork", recording_fork)
-    return log
-
-
 def test_sweep_pool_holds_no_more_processes_than_shares(params, fork_log, monkeypatch):
     # this process runs share 0 of every point; one process is forked per
     # other share, and none for a single share
@@ -203,13 +183,21 @@ def test_sweep_without_fork_runs_every_share_here(params, fork_log, monkeypatch)
     assert fork_log.forks == 0
 
 
-def test_sweep_design_error_raises_before_any_pool(fork_log):
-    # the NOMA target at the second rate is past the float range
+def test_sweep_design_error_raises_before_any_pool(fork_log, monkeypatch):
+    # the NOMA target at the second rate is past the float range; in the
+    # three-scheme sweep NOMA comes last, and that rate is also past the
+    # Poisson limit: every design is resolved before any load is checked
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     config = SchemeConfig("uncoordinated", "noma")
-    with pytest.raises(Infeasible, match="float range"):
-        run_sweep(config, SystemParams(slot_s=10.0), [100.0, 1e308],
-                  2 * BLOCK_TRIALS, SEED, workers=2)
-    assert fork_log.forks == 0
+    configs = [SchemeConfig("coordinated", "tdma"), SchemeConfig("uncoordinated", "fdma"),
+               config]
+    for run in (lambda: run_sweep(config, SystemParams(slot_s=10.0), [100.0, 1e308],
+                                  2 * BLOCK_TRIALS, SEED, workers=2),
+                lambda: sim.sweep(configs, SystemParams(slot_s=10.0), [100.0, 1e308],
+                                  2 * BLOCK_TRIALS, SEED, workers=2, mode="montecarlo")):
+        with pytest.raises(Infeasible, match="float range"):
+            run()
+        assert fork_log.forks == 0
 
 
 def test_sweep_share_error_in_a_forked_process_propagates(params, in_forked_share):
