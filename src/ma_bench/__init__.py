@@ -11,7 +11,7 @@ from .coordinated import (CoordinatedAllocation, fdma_admitted_count, fdma_kmax,
                           tdma_min_time)
 from .uncoordinated import (NOMINAL, REDERIVED, UncoordinatedAnalysis,
                             UncoordinatedDesign, collision_probability,
-                            noma_design, noma_device_cap,
+                            exact_mean_served, noma_design, noma_device_cap,
                             noma_feasibility_probability, noma_required_snr,
                             optimize_design, transmit_probability,
                             uncoordinated_throughput)

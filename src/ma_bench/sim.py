@@ -9,8 +9,8 @@ strongest first from exponential spacings and computes only the prefix
 admission reads: admission stops at the first device that does not fit, or,
 for FDMA and TDMA, once every unread device would fit at the cell-edge
 demand (the unread chunks' random draws are still made, so the block's next
-slot draws the same numbers). A random-access block is array operations and
-places no device.
+slot draws the same numbers). A random-access slot places no device and
+picks no partition: it samples its counts' exact joint law (_random_access).
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import numpy as np
 
 # make_device_set, channel_gain, sample_placement are not called here: the
 # engine draws no full placement. bench/tracing.py wraps these names here.
-from .model import (COORDINATED, FAMILIES, FDMA, NOMA, SCHEMES, TDMA,
-                    UNCOORDINATED, StrongestFirst, SystemParams, TrafficModel,
-                    channel_gain, make_device_set, sample_arrivals,
-                    sample_placement, trial_rng)
+from .model import (FAMILIES, FDMA, NOMA, SCHEMES, TDMA, UNCOORDINATED, StrongestFirst,
+                    SystemParams, TrafficModel, channel_gain, make_device_set,
+                    sample_arrivals, sample_placement, trial_rng)
 from . import coordinated as co
 from . import uncoordinated as un
 
@@ -39,17 +38,6 @@ MAX_TRIALS = BLOCK_TRIALS << 32
 # Largest mean numpy's Poisson sampler draws (int64 max less ten standard
 # deviations): a larger arrival_rate * slot_s cannot be simulated.
 POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
-# Bytes the collision step holds live at once for a chunk of slots, or one
-# slot's worth if more (see _alone). Chosen by measurement: in interleaved
-# in-process rounds of the default FDMA and TDMA random-access grids (1,000
-# partitions, ~1,000 transmitters a slot; 2-vCPU Xeon, numpy 2.4.6), times
-# relative to a 96 KB budget (6 slots a chunk) were 0.87-0.94 at
-# 192 KB (11 slots), 0.80-0.85 at 384 KB (23), 0.81-0.90 at 768 KB (46) and
-# 1.37-1.45 at 1.5 MB (the whole 64-slot block). Below the optimum numpy's
-# per-call overhead dominates; above it the large fresh arrays cost more
-# than the calls they save (~55,000 minor page faults a grid at 1.5 MB,
-# tens at 384 KB).
-_CHUNK_BYTES = 393_216
 
 
 @dataclass(frozen=True)
@@ -140,51 +128,50 @@ def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
     return co.noma_admitted_count(devices, params)
 
 
-def _alone(transmitting: np.ndarray, partitions: int,
-           rng: np.random.Generator) -> np.ndarray:
-    """Per slot, the transmitters alone in the partition each picked uniformly.
+def _random_access(design: un.UncoordinatedDesign, params: SystemParams, offered: float):
+    """draw(rng, size): the arrivals and served counts of ``size`` slots at
+    ``offered`` mean arrivals, from their exact joint law. Transmitting, silent
+    and idle devices are independent Poisson counts; NOMA serves all T
+    transmitters or none. FDMA and TDMA occupancies are i.i.d. Poisson(m / N)
+    (Poisson splitting): a slot draws how many partitions hold each, one
+    multinomial over un.poisson_law, or, if m / N >= N, the N occupancies."""
+    access, p_tx = design.access_prob, un.transmit_probability(design, params)
+    m, partitions = offered * access * p_tx, design.partitions
+    if design.scheme != NOMA and partitions > m / partitions:
+        first, law = un.poisson_law(m / partitions)   # ~77 sqrt(m / N) + 475 < N + 2000 wide
+        occupancy = np.arange(first, first + law.size)
 
-    Each transmitter gets one pick from the block's stream, in slot order,
-    and the picks are counted a chunk of slots at a time. Per slot a chunk
-    holds, on average, 8 bytes per transmitter for its keys, plus either
-    the picks being added to them (8 per transmitter) or its occupancy
-    counts and their lone mask (9 per partition). The chunk size sets memory
-    and speed, never a draw."""
-    mean = transmitting.mean()
-    step = max(1, int(_CHUNK_BYTES // (8 * mean + max(8 * mean, 9 * partitions))))
-    offsets = np.arange(0, min(step, transmitting.size) * partitions, partitions)
-    return np.concatenate([_alone_in_chunk(transmitting[first:first + step], offsets,
-                                           partitions, rng)
-                           for first in range(0, transmitting.size, step)])
+    def draw(rng, size):
+        if design.scheme == NOMA:   # all or nothing: the cancellation chain
+            transmitting = rng.poisson(m, size)
+            served = np.where(un.noma_supported(transmitting, design.target_snr, params),
+                              transmitting, 0)
+        elif partitions <= m / partitions:
+            occupancies = rng.poisson(m / partitions, (size, partitions))
+            transmitting, served = occupancies.sum(axis=1), (occupancies == 1).sum(axis=1)
+        else:
+            counts = rng.multinomial(partitions, law, size)   # partitions per occupancy
+            transmitting = counts @ occupancy
+            served = (counts[:, 1 - first].copy() if first <= 1 < first + law.size
+                      else np.zeros_like(transmitting))   # a copy: counts is freed
+        silent = rng.poisson(offered * access * (1.0 - p_tx), size)
+        return transmitting + silent + rng.poisson(offered * (1.0 - access), size), served
 
-
-def _alone_in_chunk(chunk: np.ndarray, offsets: np.ndarray, partitions: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    keys = np.repeat(offsets[:chunk.size], chunk)
-    keys += rng.integers(0, partitions, size=keys.size)
-    lone = np.bincount(keys, minlength=chunk.size * partitions) == 1
-    return lone.reshape(chunk.size, -1).sum(axis=1)
+    return draw
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
                 master_seed: int, point_index: int, trials: int,
                 blocks: range) -> TrialCounts:
-    arrivals, served, design = [], [], config.design
-    p_tx = None if design is None else un.transmit_probability(design, params)
-    for block in blocks:
-        rng = trial_rng(master_seed, point_index, block)
-        arrivals.append(sample_arrivals(traffic, params.slot_s, rng, size=min(
-            BLOCK_TRIALS, trials - block * BLOCK_TRIALS)))
-        if config.family == COORDINATED:
-            served.append([run_trial(config, params, int(n), rng) for n in arrivals[-1]])
-            continue
-        # Binomial(active, p_tx): how many i.i.d. uniform placements afford it
-        transmitting = rng.binomial(rng.binomial(arrivals[-1], design.access_prob), p_tx)
-        if design.scheme == NOMA:   # all or nothing: the cancellation chain
-            served.append(np.where(un.noma_supported(
-                transmitting, design.target_snr, params), transmitting, 0))
-        else:
-            served.append(_alone(transmitting, design.partitions, rng))
+    if config.family == UNCOORDINATED:
+        draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
+    else:
+        def draw(rng, size):
+            arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
+            return arrivals, [run_trial(config, params, int(n), rng) for n in arrivals]
+    arrivals, served = zip(*(draw(trial_rng(master_seed, point_index, block),
+                                  min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
+                             for block in blocks))
     return TrialCounts(np.concatenate(arrivals), np.concatenate(served))
 
 

@@ -12,8 +12,8 @@ carries more than one transmitter.
 The analytical model chains expected counts through the per-device transmit
 probability and the collision probability; it deliberately plugs a
 real-valued expected transmitter count into the collision formula, so it is
-an expectation hybrid rather than an exact average (the Monte Carlo engine
-in ``sim`` provides the exact counterpart).
+an expectation hybrid rather than an exact average (exact_mean_served and
+the Monte Carlo engine in ``sim`` give the exact counterpart).
 """
 
 from __future__ import annotations
@@ -216,6 +216,39 @@ def uncoordinated_throughput(design: UncoordinatedDesign, params: SystemParams,
     collision = collision_probability(transmitting, design.partitions)
     return UncoordinatedAnalysis(active, transmitting, collision,
                                  transmitting * (1.0 - collision))
+
+
+def exact_mean_served(design: UncoordinatedDesign, params: SystemParams,
+                      traffic: TrafficModel) -> float:
+    """Mean packets a slot delivers under the laws the engine samples, where
+    uncoordinated_throughput is the paper's expectation hybrid: m e^(-m / N)
+    for Poisson(m) transmitters over N partitions, whose occupancies are
+    i.i.d. Poisson(m / N); for NOMA, the sum of k P(T = k) over the k that
+    noma_supported accepts, m P(Poisson(m) <= n - 1), in O(sqrt m) work."""
+    m = uncoordinated_throughput(design, params, traffic).expected_transmitting
+    if design.scheme != NOMA:
+        return m * math.exp(-m / design.partitions)
+    first, pmf = poisson_law(m)
+    k = np.arange(first, first + pmf.size)
+    return float(np.sum(k * pmf, where=noma_supported(k, design.target_snr, params)))
+
+
+def poisson_law(mean: float) -> tuple[int, np.ndarray]:
+    """The first k whose Poisson(mean) pmf reaches the smallest normal float
+    e^-l, and the pmf from there to the last such k, normalized (1.0 alone for
+    a mean of 0). By the Poisson tail bounds e^(-x^2 / 2 mean) below the mean
+    and e^(-x^2 / 2 (mean + x / 3)) above it, those k lie within mean -
+    sqrt(2 l mean) .. mean + sqrt(2 l mean) + l."""
+    if not mean:
+        return 0, np.ones(1)
+    reach = -math.log(np.finfo(float).tiny)   # l
+    spread = math.sqrt(2.0 * reach * mean)
+    k = np.arange(max(0, math.floor(mean - spread)), math.ceil(mean + spread + reach) + 1)
+    log_pmf = math.log(mean) - np.log(np.maximum(k, 1))   # log p(k) - log p(k - 1)
+    log_pmf[0] = k[0] * math.log(mean) - mean - math.lgamma(k[0] + 1.0)   # log p(k[0])
+    inside = np.flatnonzero(np.cumsum(log_pmf, out=log_pmf) >= -reach)
+    pmf = np.exp(log_pmf[inside[0]:inside[-1] + 1])
+    return int(k[inside[0]]), pmf / pmf.sum()
 
 
 def max_partitions(scheme: str, params: SystemParams) -> int:

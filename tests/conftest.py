@@ -30,18 +30,18 @@ def no_process_left():
 @pytest.fixture
 def in_forked_share(monkeypatch):
     """A function that sets sweeps to two CPUs and makes each forked share
-    call ``act()`` before its first draw; share 0, run in the sweeping
-    process, draws as usual."""
+    call ``act()`` as it opens its first block's generator; share 0, run in
+    the sweeping process, draws as usual."""
     sweeping = os.getpid()
-    draw_arrivals = sim.sample_arrivals
+    open_block = sim.trial_rng
 
     def install(act):
-        def draw(*args, **kwargs):
+        def block_rng(*args, **kwargs):
             if os.getpid() != sweeping:
                 act()
-            return draw_arrivals(*args, **kwargs)
+            return open_block(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "sample_arrivals", draw)
+        monkeypatch.setattr(sim, "trial_rng", block_rng)
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
 
     return install

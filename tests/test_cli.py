@@ -762,29 +762,31 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
 
 
 UNCOORDINATED_SCHEMES = "uncoordinated-fdma,uncoordinated-tdma,uncoordinated-noma"
-# sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process),
-# recorded when a process pool ran the second share.
+# sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process): the
+# coordinated ones recorded when a process pool ran the second share, the
+# uncoordinated ones when random-access slots came to draw their partition
+# occupancy counts from the Poisson-splitting law.
 SWEEP_GOLDENS = {
     "coordinated": (["--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
                      "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4"],
                     "66a175125bb6db6dc9500f7d4142717932a73b49ef6c13b96cfb34f673ebd654"),
     "uncoordinated": (["--schemes", UNCOORDINATED_SCHEMES],
-                      "1b8a168a812c8992ed4d27d503765645e6310095132bf1f817213f9e631902ce"),
+                      "5ca761eb72cf48fac58766e695852f69b065d8fed4f391a1418c92a427141462"),
     "uncoordinated-fine-minima": (["--schemes", UNCOORDINATED_SCHEMES, "--min-slot-s", "1e-4",
                                    "--min-subchannel-hz", "100"],
-                                  "c922ee3a2750ce842bf22e44cba6d78b578273ae8c0ffedc7b0ab36ba5322ff4"),
+                                  "059fd39f9bb11f433645aabfedf1bdf28e76e7e3c97f1dbe3e4fe7476227b85b"),
     "uncoordinated-rederived": (["--schemes", UNCOORDINATED_SCHEMES,
                                  "--noma-snr-rule", "rederived"],
-                                "471f8208371fad0a497e1b0ad810ff90c0767d3c41792aa81ada504a70050628"),
+                                "a7d9a00faaeffbbf28a02faac99ef64a3c2ac653dda4afca5b2ec2485abeaece"),
     "coordinated-enforce-minimum": (["--schemes",
                                      "coordinated-fdma,coordinated-tdma,coordinated-noma",
                                      "--lambda-min", "5000", "--lambda-max", "20000",
                                      "--lambda-steps", "4", "--enforce-minimum"],
                                     "80238387415a74d215f7e995c44ed741212de91edeb6b7e83f0093635d780dfc"),
     "uncoordinated-pathloss-exp": (["--schemes", UNCOORDINATED_SCHEMES, "--pathloss-exp", "3.1"],
-                                   "6910731e406d97face316cec088646f9b38a91b7f6efed57bda308af02535998"),
+                                   "9ccb47641e4304157c814a14f0f54fc72e0739a91305e437b01a5a2232ac9b6d"),
     "uncoordinated-slot-s": (["--schemes", UNCOORDINATED_SCHEMES, "--slot-s", "10"],
-                             "5e73b2bad13e4df1480b76cdfc337919250bff1d541e93d4cf05794a8b0e2d52"),
+                             "565540d9833b8caee1075f99b489c0c7775cbe56119cd4254196152aa042d0c8"),
 }
 
 

@@ -15,7 +15,7 @@ from ma_bench import (BLOCK_TRIALS, Infeasible, SystemParams, TrafficModel,
 from ma_bench import sim
 from ma_bench.sim import SchemeConfig
 from ma_bench.model import channel_gain, sample_placement, trial_rng
-from ma_bench.uncoordinated import noma_device_cap, noma_supported, transmit_probability
+from ma_bench.uncoordinated import exact_mean_served, noma_supported, transmit_probability
 
 SEED = 42
 
@@ -237,7 +237,7 @@ def test_share_0_error_kills_the_forked_process(params, monkeypatch):
             time.sleep(60)
         raise RuntimeError("share 0 failed")
 
-    monkeypatch.setattr(sim, "sample_arrivals", fail_here_stall_when_forked)
+    monkeypatch.setattr(sim, "trial_rng", fail_here_stall_when_forked)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="share 0 failed"):
@@ -343,30 +343,14 @@ def test_random_access_mean_tracks_analytic(params):
     assert abs(served.mean() - analytic) <= 4.0 * se
 
 
-def poisson_cdf(k, mean):
-    """P(Poisson(mean) <= k), term by term from logs."""
-    return math.fsum(math.exp(j * math.log(mean) - mean - math.lgamma(j + 1.0))
-                     for j in range(k + 1))
-
-
 @pytest.mark.parametrize("scheme", ["fdma", "tdma", "noma"])
 def test_random_access_mean_matches_the_exact_poisson_mean(params, scheme):
-    # Transmitters are Poisson(m), m = lam slot access_prob p_tx, so partition
-    # occupancies are i.i.d. Poisson(m / N) (Poisson splitting): N partitions
-    # serve m e^(-m / N) lone transmitters on average. NOMA serves all T
-    # transmitters when T <= n_sup, the most noma_supported accepts, else
-    # none: m P(Poisson(m) <= n_sup - 1). Two-sided, unlike criterion 5.
+    # Two-sided, unlike criterion 5: the engine samples the laws that
+    # exact_mean_served averages
     for lam in (1000.0, 5000.0, 20000.0):
         traffic = TrafficModel(lam)
         config = resolve_design(SchemeConfig("uncoordinated", scheme), params, traffic)
-        design = config.design
-        m = lam * params.slot_s * design.access_prob * transmit_probability(design, params)
-        if scheme == "noma":
-            n_sup = max(n for n in range(1, int(noma_device_cap(params)) + 2)
-                        if noma_supported(n, design.target_snr, params))
-            exact = m * poisson_cdf(n_sup - 1, m)
-        else:
-            exact = m * math.exp(-m / design.partitions)
+        exact = exact_mean_served(config.design, params, traffic)
         served = simulate_point(config, params, traffic, SEED, 0, 4096).served.astype(float)
         se = served.std(ddof=1) / math.sqrt(served.size)
         assert abs(served.mean() - exact) < 4.0 * se, (lam, served.mean(), exact, se)
@@ -481,8 +465,9 @@ def test_coordinated_memory_follows_the_admitted_prefix(params, scheme):
 
 
 def test_many_partitions_resolve_collisions_by_transmitter(params):
-    # 10^5 partitions: one occupancy bin each for a block would take ~51 MB;
-    # the collision step counts one slot at a time instead (~0.8 MB of bins)
+    # 10^5 partitions, 0.02 transmitters each: a slot draws how many
+    # partitions hold each occupancy (a hundred or so counts), not a number
+    # per partition or per transmitter
     fine = SystemParams(payload_bits=1e-3)
     design = UncoordinatedDesign("fdma", 1.0, 100_000)
     config = SchemeConfig("uncoordinated", "fdma", design=design)
@@ -500,45 +485,53 @@ def test_many_partitions_resolve_collisions_by_transmitter(params):
     assert abs(counts.served.mean() - analytic) <= 4.0 * se
 
 
-def _alone_slot_by_slot(transmitting, partitions, rng):
-    """Oracle: each slot's picks drawn in slot order and counted on their own."""
-    return [np.count_nonzero(np.bincount(rng.integers(0, partitions, size=t),
-                                         minlength=partitions) == 1)
-            for t in transmitting]
+def _lone_by_device(partitions, mean, slots, rng):
+    """Oracle: per slot, Poisson(partitions * mean) transmitters each pick a
+    partition uniformly; the slot's transmitters and those alone in theirs."""
+    transmitting = rng.poisson(partitions * mean, slots)
+    return transmitting, np.array([np.count_nonzero(np.bincount(
+        rng.integers(0, partitions, t), minlength=partitions) == 1) for t in transmitting])
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, pytest.param(None, id="default"), 10**9])
-def test_collision_chunking_does_not_change_counts(monkeypatch, chunk_bytes):
-    # one slot per chunk, the default chunks, the whole block: the same picks
-    # and the same counts as a slot-by-slot count from the same generator
-    if chunk_bytes is not None:
-        monkeypatch.setattr(sim, "_CHUNK_BYTES", chunk_bytes)
-    for partitions in (1, 2, 1000, 100_000):
-        # idle, lone and more-than-partitions slots; 40 slots let the default
-        # budget split 1,000 partitions into a full chunk and a ragged one
-        slots = [0, 1, 2 * partitions + 1, 0, 1, partitions // 2, partitions + 1, 3]
-        transmitting = np.array(slots * (5 if partitions <= 1000 else 1))
-        expected = _alone_slot_by_slot(transmitting, partitions,
-                                       np.random.default_rng(SEED))
-        assert sim._alone(transmitting, partitions,
-                          np.random.default_rng(SEED)).tolist() == expected
+@pytest.mark.parametrize("partitions", [1, 2, 7, 1000])
+def test_occupancy_law_matches_transmitters_picking_partitions(params, partitions):
+    # every device affords up to 1,000 partitions at the defaults, so at full
+    # access the arrivals are the transmitters: the engine's occupancy counts
+    # and explicit picks must agree on the transmitters, the lone count and
+    # its first two atoms
+    rng = np.random.default_rng(SEED)
+    config = SchemeConfig("uncoordinated", "fdma",
+                          design=UncoordinatedDesign("fdma", 1.0, partitions))
+    assert transmit_probability(config.design, params) == 1.0
+    for mean in (0.05, 1.0, 4.0):
+        counts = simulate_point(config, params, TrafficModel(partitions * mean), SEED, 0, 1024)
+        transmitting, served = _lone_by_device(partitions, mean, 1024, rng)
+        for ours, oracle in ((counts.arrivals, transmitting), (counts.served, served),
+                             (counts.served == 0, served == 0), (counts.served == 1, served == 1)):
+            se = math.sqrt((ours.var(ddof=1) + oracle.var(ddof=1)) / 1024)
+            assert abs(ours.mean() - oracle.mean()) <= 5.0 * se, (partitions, mean)
 
 
-def test_collision_step_memory_is_bounded_per_chunk(params):
-    # ~1000 transmitters in each of 1000 partitions per slot: a block's keys,
-    # counts and lone mask would take ~1.1 MB; a chunk holds 384 KB at once
-    traffic = TrafficModel(10000.0)
-    config = resolve_design(SchemeConfig("uncoordinated", "fdma"), params, traffic)
-    assert config.design.partitions == 1000
+@pytest.mark.parametrize("scheme, design, lam", [
+    ("fdma", None, 20_000.0), ("tdma", UncoordinatedDesign("tdma", 1.0, 1), 1e6)],
+    ids=["default-fdma", "one-sub-slot"])
+def test_random_access_block_memory_does_not_follow_the_load(params, scheme, design, lam):
+    # 20,000 and 10^6 arrivals a slot: a block holds the count of partitions
+    # at each occupancy (171 of them at one transmitter a partition) or, for
+    # one sub-slot, its one occupancy; nothing per transmitter
+    traffic = TrafficModel(lam)
+    config = resolve_design(SchemeConfig("uncoordinated", scheme, design=design), params,
+                            traffic)
     # a first call imports numpy.random (~0.9 MB traced): keep it out of the peak
     simulate_point(config, params, traffic, SEED, 0, 1)
     tracemalloc.start()
     try:
-        simulate_point(config, params, traffic, SEED, 0, 2 * BLOCK_TRIALS)
+        counts = simulate_point(config, params, traffic, SEED, 0, 2 * BLOCK_TRIALS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 430_000
+    assert peak < 150_000
+    assert (counts.served <= np.minimum(counts.arrivals, config.design.partitions)).all()
 
 
 def test_binomial_thinning_matches_placement_geometry():

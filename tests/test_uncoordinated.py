@@ -189,6 +189,63 @@ def test_probabilities_stay_in_unit_interval():
             assert 0.0 <= value <= 1.0
 
 
+def poisson_cdf(k, mean):
+    """P(Poisson(mean) <= k), term by term from logs."""
+    return math.fsum(math.exp(j * math.log(mean) - mean - math.lgamma(j + 1.0))
+                     for j in range(k + 1))
+
+
+@pytest.mark.parametrize("lam", [100.0, 1000.0, 5000.0, 20000.0])
+def test_exact_mean_served_matches_the_term_by_term_means(params, lam):
+    # m e^(-m / N) lone transmitters; NOMA serves T <= n_sup transmitters,
+    # n_sup the most noma_supported accepts: m P(Poisson(m) <= n_sup - 1)
+    traffic = TrafficModel(lam)
+    for design in (optimize_design("fdma", params, traffic),
+                   UncoordinatedDesign("tdma", 0.3, 7)):
+        m = lam * design.access_prob * transmit_probability(design, params)
+        assert un.exact_mean_served(design, params, traffic) == pytest.approx(
+            m * math.exp(-m / design.partitions), rel=1e-12)
+    for rule in (NOMINAL, REDERIVED):
+        design = noma_design(params, traffic, rule)
+        m = lam * transmit_probability(design, params)
+        n_sup = max(n for n in range(1, int(noma_device_cap(params)) + 2)
+                    if noma_supported(n, design.target_snr, params))
+        assert un.exact_mean_served(design, params, traffic) == pytest.approx(
+            m * poisson_cdf(n_sup - 1, m), rel=1e-9, abs=1e-300)
+
+
+def test_exact_mean_served_at_the_ends(params):
+    nothing = TrafficModel(0.0)
+    assert un.exact_mean_served(noma_design(params, nothing), params, nothing) == 0.0
+    assert un.exact_mean_served(UncoordinatedDesign("fdma", 1.0, 5), params, nothing) == 0.0
+    # no transmitter decodes at this target, and every count does at this one
+    unreachable = UncoordinatedDesign("noma", target_snr=1e-9)
+    assert un.exact_mean_served(unreachable, params, TrafficModel(50.0)) == 0.0
+    roomy = noma_design(params, TrafficModel(1000.0))   # decodes ~1,000 at once
+    assert un.exact_mean_served(roomy, params, TrafficModel(10.0)) == pytest.approx(
+        10.0 * transmit_probability(roomy, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-300, 0.05, 1.0, 4.0, 1000.0, 1e6])
+def test_poisson_law_is_the_pmf_where_it_reaches_the_smallest_normal_float(mean):
+    first, pmf = un.poisson_law(mean)
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+    if mean == 0.0:
+        assert (first, pmf.tolist()) == (0, [1.0])
+        return
+    tiny = np.finfo(float).tiny
+
+    def exact(k):
+        return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+
+    assert exact(first) >= tiny and exact(first + pmf.size - 1) >= tiny
+    assert first == 0 or exact(first - 1) < tiny
+    assert exact(first + pmf.size) < tiny
+    ks = np.linspace(first, first + pmf.size - 1, 50).astype(int)
+    # the relative error of the summed log steps grows with the window
+    assert [pmf[k - first] for k in ks] == pytest.approx([exact(k) for k in ks], rel=1e-8)
+
+
 # --- power-controlled superposition ---------------------------------------------
 
 def test_noma_required_snr_examples(params):
