@@ -9,8 +9,8 @@ strongest first from exponential spacings and computes only the prefix
 admission reads: admission stops at the first device that does not fit, or,
 for FDMA and TDMA, once every unread device would fit at the cell-edge
 demand (the unread chunks' random draws are still made, so the block's next
-slot draws the same numbers). A random-access slot places no device and
-picks no partition: it samples its counts' exact joint law (_random_access).
+slot draws the same numbers). A random-access slot (_random_access) draws
+its served count first, and its arrivals only for a caller that reads them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -129,50 +129,60 @@ def run_trial(config: SchemeConfig, params: SystemParams, arrivals: int,
 
 
 def _random_access(design: un.UncoordinatedDesign, params: SystemParams, offered: float):
-    """draw(rng, size): the arrivals and served counts of ``size`` slots at
-    ``offered`` mean arrivals, from their exact joint law. Transmitting, silent
-    and idle devices are independent Poisson counts; NOMA serves all T
-    transmitters or none. FDMA and TDMA occupancies are i.i.d. Poisson(m / N)
-    (Poisson splitting): a slot draws how many partitions hold each, one
-    multinomial over un.poisson_law, or, if m / N >= N, the N occupancies."""
+    """draw(rng, size): the served counts of ``size`` slots at ``offered`` mean
+    arrivals, and a function that then draws their arrivals from the same
+    generator, by their exact joint law. Transmitting, silent and idle devices
+    are independent Poisson counts; NOMA serves all T transmitters or none.
+    FDMA/TDMA occupancies are i.i.d. Poisson(mu = m / N) (Poisson splitting):
+    Binomial(N, mu e^-mu) partitions hold one, and the others Poisson(mu) given
+    not 1 (a multinomial over un.poisson_law, or if mu >= N, redrawn while 1)."""
     access, p_tx = design.access_prob, un.transmit_probability(design, params)
     m, partitions = offered * access * p_tx, design.partitions
-    if design.scheme != NOMA and partitions > m / partitions:
-        first, law = un.poisson_law(m / partitions)   # ~77 sqrt(m / N) + 475 < N + 2000 wide
+    mean, lone = m / partitions, un.singleton_probability(m / partitions)
+
+    @cache
+    def window():   # built on first use: ~77 sqrt(mu) + 475 < N + 2000 wide
+        first, law = un.poisson_law(mean)
         occupancy = np.arange(first, first + law.size)
+        return occupancy[occupancy != 1], law[occupancy != 1] / law[occupancy != 1].sum()
+
+    def others(rng, served):   # transmitters in the partitions that do not hold one
+        if partitions > mean:
+            occupancy, law = window()
+            return rng.multinomial(partitions - served, law) @ occupancy
+        occupancies = rng.poisson(mean, (served.size, partitions))
+        occupancies[np.arange(partitions) < served[:, None]] = 0   # the lone: in served
+        while (redo := occupancies == 1).any():
+            occupancies[redo] = rng.poisson(mean, np.count_nonzero(redo))
+        return occupancies.sum(axis=1)
+
+    def quiet(rng, size):   # the active devices that stay silent, then the idle ones
+        return (rng.poisson(offered * access * (1.0 - p_tx), size)
+                + rng.poisson(offered * (1.0 - access), size))
 
     def draw(rng, size):
         if design.scheme == NOMA:   # all or nothing: the cancellation chain
             transmitting = rng.poisson(m, size)
-            served = np.where(un.noma_supported(transmitting, design.target_snr, params),
-                              transmitting, 0)
-        elif partitions <= m / partitions:
-            occupancies = rng.poisson(m / partitions, (size, partitions))
-            transmitting, served = occupancies.sum(axis=1), (occupancies == 1).sum(axis=1)
-        else:
-            counts = rng.multinomial(partitions, law, size)   # partitions per occupancy
-            transmitting = counts @ occupancy
-            served = (counts[:, 1 - first].copy() if first <= 1 < first + law.size
-                      else np.zeros_like(transmitting))   # a copy: counts is freed
-        silent = rng.poisson(offered * access * (1.0 - p_tx), size)
-        return transmitting + silent + rng.poisson(offered * (1.0 - access), size), served
+            return (np.where(un.noma_supported(transmitting, design.target_snr, params),
+                             transmitting, 0), lambda: transmitting + quiet(rng, size))
+        served = rng.binomial(partitions, lone, size)
+        return served, lambda: served + others(rng, served) + quiet(rng, size)
 
     return draw
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-                master_seed: int, point_index: int, trials: int,
-                blocks: range) -> TrialCounts:
+                master_seed: int, point_index: int, trials: int, blocks: range):
+    """Per block: its served counts and a function that returns its arrivals."""
     if config.family == UNCOORDINATED:
         draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
     else:
         def draw(rng, size):
             arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
-            return arrivals, [run_trial(config, params, int(n), rng) for n in arrivals]
-    arrivals, served = zip(*(draw(trial_rng(master_seed, point_index, block),
-                                  min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
-                             for block in blocks))
-    return TrialCounts(np.concatenate(arrivals), np.concatenate(served))
+            return [run_trial(config, params, int(n), rng) for n in arrivals], lambda: arrivals
+    for block in blocks:
+        yield draw(trial_rng(master_seed, point_index, block),
+                   min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
 
 
 def _check_trials(trials: int):
@@ -197,8 +207,9 @@ def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficM
     _check_load(traffic, params)
     if config.family == UNCOORDINATED and config.design is None:
         raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
-    return _run_blocks(config, params, traffic, master_seed, point_index, trials,
-                       range(-(-trials // BLOCK_TRIALS)))
+    served, arrivals = zip(*_run_blocks(config, params, traffic, master_seed, point_index,
+                                        trials, range(-(-trials // BLOCK_TRIALS))))
+    return TrialCounts(np.concatenate([draw() for draw in arrivals]), np.concatenate(served))
 
 
 def aggregate(served, params: SystemParams) -> TrialStats:
@@ -222,8 +233,8 @@ def _checked_grid(lambda_grid) -> list[float]:
 
 
 def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
-    """Served counts of one share of blocks at every point."""
-    return [run(share).served for run in runs]
+    """Served counts of one share of blocks at every point; no arrivals are drawn."""
+    return [np.concatenate([served for served, _ in run(share)]) for run in runs]
 
 
 def _usable_cpus() -> int:

@@ -220,17 +220,21 @@ def uncoordinated_throughput(design: UncoordinatedDesign, params: SystemParams,
 
 def exact_mean_served(design: UncoordinatedDesign, params: SystemParams,
                       traffic: TrafficModel) -> float:
-    """Mean packets a slot delivers under the laws the engine samples, where
-    uncoordinated_throughput is the paper's expectation hybrid: m e^(-m / N)
-    for Poisson(m) transmitters over N partitions, whose occupancies are
-    i.i.d. Poisson(m / N); for NOMA, the sum of k P(T = k) over the k that
-    noma_supported accepts, m P(Poisson(m) <= n - 1), in O(sqrt m) work."""
+    """Mean packets a slot delivers under the laws the engine samples (where
+    uncoordinated_throughput is the paper's hybrid): for Poisson(m) transmitters
+    over N partitions, N singleton_probability(m / N); for NOMA, the k P(T = k)
+    summed over the k noma_supported accepts, m P(Poisson(m) <= n - 1)."""
     m = uncoordinated_throughput(design, params, traffic).expected_transmitting
     if design.scheme != NOMA:
-        return m * math.exp(-m / design.partitions)
+        return design.partitions * singleton_probability(m / design.partitions)
     first, pmf = poisson_law(m)
     k = np.arange(first, first + pmf.size)
     return float(np.sum(k * pmf, where=noma_supported(k, design.target_snr, params)))
+
+
+def singleton_probability(mean: float) -> float:
+    """mu e^-mu = P(Poisson(mu) = 1): a partition's chance to hold one transmitter."""
+    return mean * math.exp(-mean)
 
 
 def poisson_law(mean: float) -> tuple[int, np.ndarray]:

@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -764,43 +765,49 @@ def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
 UNCOORDINATED_SCHEMES = "uncoordinated-fdma,uncoordinated-tdma,uncoordinated-noma"
 # sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process): the
 # coordinated ones recorded when a process pool ran the second share, the
-# uncoordinated ones when random-access slots came to draw their partition
-# occupancy counts from the Poisson-splitting law.
+# uncoordinated ones when random-access slots came to draw their served count
+# first, from its Binomial(N, mu e^-mu) law. After a deliberate change, print
+# every case's digest at --workers 1 and 2, as the test below computes it, with
+#   PYTHONPATH=src:tests python -c "import test_cli as t; [print(c, w, t.sweep_digest(c, w)) for c in t.SWEEP_GOLDENS for w in '12']"
 SWEEP_GOLDENS = {
     "coordinated": (["--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
                      "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4"],
                     "66a175125bb6db6dc9500f7d4142717932a73b49ef6c13b96cfb34f673ebd654"),
     "uncoordinated": (["--schemes", UNCOORDINATED_SCHEMES],
-                      "5ca761eb72cf48fac58766e695852f69b065d8fed4f391a1418c92a427141462"),
+                      "40ca3e1ef360c80f4407c29334bcde56f14c67903881ccafc9bfe4bfb67062c1"),
     "uncoordinated-fine-minima": (["--schemes", UNCOORDINATED_SCHEMES, "--min-slot-s", "1e-4",
                                    "--min-subchannel-hz", "100"],
-                                  "059fd39f9bb11f433645aabfedf1bdf28e76e7e3c97f1dbe3e4fe7476227b85b"),
+                                  "6b0fe0a572fe12ee844f0b3f9fcd5783946905342cbfd30b43e5df9c0cfc5595"),
     "uncoordinated-rederived": (["--schemes", UNCOORDINATED_SCHEMES,
                                  "--noma-snr-rule", "rederived"],
-                                "a7d9a00faaeffbbf28a02faac99ef64a3c2ac653dda4afca5b2ec2485abeaece"),
+                                "2933f9012b32772fd220228e971ded59ca8aa38bf3b8e267aaa4505d21990033"),
     "coordinated-enforce-minimum": (["--schemes",
                                      "coordinated-fdma,coordinated-tdma,coordinated-noma",
                                      "--lambda-min", "5000", "--lambda-max", "20000",
                                      "--lambda-steps", "4", "--enforce-minimum"],
                                     "80238387415a74d215f7e995c44ed741212de91edeb6b7e83f0093635d780dfc"),
     "uncoordinated-pathloss-exp": (["--schemes", UNCOORDINATED_SCHEMES, "--pathloss-exp", "3.1"],
-                                   "9ccb47641e4304157c814a14f0f54fc72e0739a91305e437b01a5a2232ac9b6d"),
+                                   "2a6c3519c61de87240c9889ab7caaf3bf94f28a9e8b81c509bbba3d19c99deb4"),
     "uncoordinated-slot-s": (["--schemes", UNCOORDINATED_SCHEMES, "--slot-s", "10"],
-                             "565540d9833b8caee1075f99b489c0c7775cbe56119cd4254196152aa042d0c8"),
+                             "5d94629b8f632b80d69f35e06ab7db9a282067ab9329c9fccb57542ea2836b77"),
 }
+
+
+def sweep_digest(case, workers):
+    """sha256 of SWEEP_GOLDENS[case]'s CSV at ``workers`` ("1" or "2"), on two CPUs."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sim, "_usable_cpus",
+                                                                 lambda: 2):
+        out_path = Path(tmp) / "rows.csv"
+        status = main(["sweep", *SWEEP_GOLDENS[case][0], "--trials", "128", "--master-seed",
+                       "0", "--workers", workers, "--output", str(out_path)])
+        assert status == 0
+        return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", SWEEP_GOLDENS)
-def test_sweep_bytes_are_pinned_at_any_worker_count(case, workers, tmp_path, monkeypatch,
-                                                    capsys):
-    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-    argv, golden = SWEEP_GOLDENS[case]
-    out_path = tmp_path / "rows.csv"
-    status, _, err = run(["sweep", *argv, "--trials", "128", "--master-seed", "0",
-                          "--workers", workers, "--output", str(out_path)], capsys)
-    assert status == 0, err
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == golden
+def test_sweep_bytes_are_pinned_at_any_worker_count(case, workers):
+    assert sweep_digest(case, workers) == SWEEP_GOLDENS[case][1]
 
 
 def test_three_scheme_sweep_solves_each_design_once(tmp_path, monkeypatch, capsys):

@@ -409,6 +409,43 @@ def test_analytic_rows_build_no_scheme_config_per_rate(params, monkeypatch):
     assert [[row.mean_throughput_pps for row in part] for part in rows] == expected
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_aggregate_the_served_counts_simulate_point_draws(params, monkeypatch,
+                                                                    workers):
+    # a sweep draws each block's served counts alone; simulate_point then
+    # draws the arrivals from the same generator, so they never move served.
+    # Three partitions hold 33 or more transmitters each, so the arrivals come
+    # from each partition's occupancy rather than from one multinomial.
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    configs = [SchemeConfig("uncoordinated", scheme) for scheme in ("fdma", "tdma", "noma")]
+    configs.append(SchemeConfig("uncoordinated", "tdma",
+                                design=UncoordinatedDesign("tdma", 1.0, 3)))
+    grid, trials = [100.0, 5000.0, 20000.0], 2 * BLOCK_TRIALS + 5
+    rows = sim.sweep(configs, params, grid, trials, SEED, workers, "montecarlo")
+    expected = []
+    for config in configs:
+        for index, traffic in enumerate(map(TrafficModel, grid)):
+            stats = aggregate(simulate_point(resolve_design(config, params, traffic), params,
+                                             traffic, SEED, index, trials).served, params)
+            expected.append((stats.mean_throughput_pps, stats.ci95_halfwidth_pps))
+    assert [(row.mean_throughput_pps, row.ci95_halfwidth) for row in rows] == expected
+
+
+def test_random_access_sweep_builds_no_occupancy_window(params, monkeypatch):
+    # served alone is one binomial draw a block: no un.poisson_law, which
+    # only a caller of the arrivals needs (once a point)
+    means = []
+    law = sim.un.poisson_law
+    monkeypatch.setattr(sim.un, "poisson_law", lambda mean: means.append(mean) or law(mean))
+    configs = [SchemeConfig("uncoordinated", scheme) for scheme in ("fdma", "tdma")]
+    sim.sweep(configs, params, [1000.0, 20000.0], 3 * BLOCK_TRIALS, SEED)
+    assert means == []
+    traffic = TrafficModel(1000.0)
+    simulate_point(resolve_design(configs[0], params, traffic), params, traffic, SEED, 0,
+                   3 * BLOCK_TRIALS)
+    assert len(means) == 1
+
+
 def test_random_access_point_takes_its_transmit_probability_once(params, monkeypatch):
     config = SchemeConfig("uncoordinated", "tdma", design=UncoordinatedDesign("tdma", 0.5, 8))
     before = run_sweep(config, params, [100.0, 1000.0], 3 * BLOCK_TRIALS + 1, SEED)
@@ -493,12 +530,19 @@ def _lone_by_device(partitions, mean, slots, rng):
         rng.integers(0, partitions, t), minlength=partitions) == 1) for t in transmitting])
 
 
+def _covariance(x, y):
+    """The sample covariance of x and y, and its standard error."""
+    products = (x - x.mean()) * (y - y.mean())
+    return products.mean(), products.std(ddof=1) / math.sqrt(products.size)
+
+
 @pytest.mark.parametrize("partitions", [1, 2, 7, 1000])
 def test_occupancy_law_matches_transmitters_picking_partitions(params, partitions):
     # every device affords up to 1,000 partitions at the defaults, so at full
-    # access the arrivals are the transmitters: the engine's occupancy counts
-    # and explicit picks must agree on the transmitters, the lone count and
-    # its first two atoms
+    # access the arrivals are the transmitters: the engine's served-first draws
+    # and explicit picks must agree on the transmitters, the lone count, its
+    # first two atoms and how the two move together (at 1,000 partitions a
+    # correlation of about +0.95 at 0.05 transmitters a partition, -0.42 at 4)
     rng = np.random.default_rng(SEED)
     config = SchemeConfig("uncoordinated", "fdma",
                           design=UncoordinatedDesign("fdma", 1.0, partitions))
@@ -510,6 +554,9 @@ def test_occupancy_law_matches_transmitters_picking_partitions(params, partition
                              (counts.served == 0, served == 0), (counts.served == 1, served == 1)):
             se = math.sqrt((ours.var(ddof=1) + oracle.var(ddof=1)) / 1024)
             assert abs(ours.mean() - oracle.mean()) <= 5.0 * se, (partitions, mean)
+        (ours, ours_se), (oracle, oracle_se) = (_covariance(counts.arrivals, counts.served),
+                                                _covariance(transmitting, served))
+        assert abs(ours - oracle) <= 5.0 * math.hypot(ours_se, oracle_se), (partitions, mean)
 
 
 @pytest.mark.parametrize("scheme, design, lam", [
