@@ -20,6 +20,8 @@ band, and ``bandwidth_ratio`` the total bandwidth over the occupied one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -284,18 +286,81 @@ def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) 
         count, params.pathloss_exp, rng).gain_chunks()]))
 
 
+# Keys hashed at a time by trial_rngs, so its memory does not grow with trials.
+KEY_BATCH = 1024
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, np.uint64) for every row of
+    ``keys`` (uint32 key words) at once: numpy's hash (bit_generator.pyx),
+    its pool of 4 words as 4 columns."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value, count, multiplier=0x931E8875):   # by the next ``count`` constants
+        nonlocal hash_const
+        consts = [hash_const]
+        for _ in range(count):
+            consts.append(consts[-1] * multiplier & 0xFFFFFFFF)
+        hash_const = consts[-1]
+        value = (value ^ np.array(consts[:-1], np.uint32)) * np.array(consts[1:], np.uint32)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = x * 0xCA01F9DD - y * 0x4973F715
+        return x ^ x >> 16
+
+    rows, width = keys.shape
+    pool = np.zeros((rows, 4), np.uint32)   # a short key: zero words
+    pool[:, :width] = keys[:, :4]
+    pool = hashmix(pool, 4)
+    for word in range(4):   # into each other word, as the pool stands
+        others = [other for other in range(4) if other != word]
+        pool[:, others] = mix(pool[:, others], hashmix(pool[:, word, None], 3))
+    for word in range(4, width):   # each word past the pool into every pool word
+        pool = mix(pool, hashmix(keys[:, word, None], 4))
+    hash_const = 0x8B51F9DD
+    state = hashmix(np.concatenate([pool, pool], axis=1), 8, 0x58F38DED)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _generator():
+    """Generator(PCG64) of a row of _seed_words, which PCG64 seeds itself from
+    as from a SeedSequence. Built on first use: numpy.random loads OpenSSL."""
+    from numpy.random import PCG64, Generator, bit_generator
+
+    class Words(bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):   # (4, np.uint64)
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
+def trial_rngs(keys):
+    """trial_rng(*key) for each key of ``keys`` (tuples of one width) in turn:
+    KEY_BATCH keys hashed at a time, each generator made as it is asked for."""
+    keys = iter(keys)
+    while batch := list(islice(keys, KEY_BATCH)):
+        if min(map(min, batch)) < 0 or max(map(max, batch)) >= 1 << 32:
+            key = next(key for key in batch if min(key) < 0 or max(key) >= 1 << 32)
+            raise ValueError(f"substream keys must lie in [0, 2**32), got {key}")
+        yield from map(_generator(), _seed_words(np.array(batch, np.uint32)))
+
+
 def trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent, reproducible generator for one substream.
 
     Substreams are keyed on (master_seed, *indices), e.g. (master_seed,
     point, block) in the Monte Carlo engine, so they can run in any order or
-    concurrently and still draw identical values. SeedSequence pads short
-    keys with zeros: trailing zero indices leave the stream unchanged. It also
-    splits a key of 2**32 or more into 32-bit words, which would alias another
-    key tuple, so every key must lie in [0, 2**32).
+    concurrently and still draw identical values. The generator is exactly
+    Generator(PCG64(SeedSequence(key))), with SeedSequence's hash run on
+    numpy arrays (_seed_words), over many keys at once in trial_rngs. The
+    hash pads a key to its pool of 4 words with zeros, so trailing zero
+    indices leave the stream unchanged up to 4 words, but not past them.
+    SeedSequence would split a key of 2**32 or more into 32-bit words, which
+    would alias another key tuple, so every key must lie in [0, 2**32).
     """
-    key = (master_seed, *indices)
-    if not all(0 <= index < 1 << 32 for index in key):
-        raise ValueError(f"substream keys must lie in [0, 2**32), got {key}")
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(key)))
+    return next(trial_rngs([(master_seed, *indices)]))

@@ -4,7 +4,9 @@ Seeded Monte Carlo engine.
 Every trial realizes one slot: Poisson arrivals, then the scheme's admission
 or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
-bit-identical for any worker count. A coordinated slot draws its gains
+bit-identical for any worker count. A share of a sweep hashes the keys of
+all its points' blocks in one vectorised pass (model.trial_rngs) and makes
+each block's generator as the block runs. A coordinated slot draws its gains
 strongest first from exponential spacings and computes only the prefix
 admission reads: admission stops at the first device that does not fit, or,
 for FDMA and TDMA, once every unread device would fit at the cell-edge
@@ -24,10 +26,11 @@ from functools import cache, partial
 import numpy as np
 
 # make_device_set, channel_gain, sample_placement are not called here: the
-# engine draws no full placement. bench/tracing.py wraps these names here.
+# engine draws no full placement; nor trial_rng, as trial_rngs seeds every
+# block. bench/tracing.py wraps these names here.
 from .model import (FAMILIES, FDMA, NOMA, SCHEMES, TDMA, UNCOORDINATED, StrongestFirst,
                     SystemParams, TrafficModel, channel_gain, make_device_set,
-                    sample_arrivals, sample_placement, trial_rng)
+                    sample_arrivals, sample_placement, trial_rng, trial_rngs)
 from . import coordinated as co
 from . import uncoordinated as un
 
@@ -172,8 +175,12 @@ def _random_access(design: un.UncoordinatedDesign, params: SystemParams, offered
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-                master_seed: int, point_index: int, trials: int, blocks: range):
-    """Per block: its served counts and a function that returns its arrivals."""
+                master_seed: int, point_index: int, trials: int, blocks: range, rngs=None):
+    """Per block: its served counts and a function that returns its arrivals,
+    drawn from the block's (master_seed, point_index, block) generator: the
+    next of ``rngs``, or of the blocks' own trial_rngs."""
+    if rngs is None:
+        rngs = trial_rngs((master_seed, point_index, block) for block in blocks)
     if config.family == UNCOORDINATED:
         draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
     else:
@@ -181,8 +188,7 @@ def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficMode
             arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
             return [run_trial(config, params, int(n), rng) for n in arrivals], lambda: arrivals
     for block in blocks:
-        yield draw(trial_rng(master_seed, point_index, block),
-                   min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
+        yield draw(next(rngs), min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
 
 
 def _check_trials(trials: int):
@@ -233,8 +239,11 @@ def _checked_grid(lambda_grid) -> list[float]:
 
 
 def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
-    """Served counts of one share of blocks at every point; no arrivals are drawn."""
-    return [np.concatenate([served for served, _ in run(share)]) for run in runs]
+    """Served counts of one share of blocks at every point (a run: _run_blocks
+    bound up to its trials); no arrivals are drawn. Every block's key is
+    hashed in one pass."""
+    rngs = trial_rngs((*run.args[3:5], block) for run in runs for block in share)
+    return [np.concatenate([served for served, _ in run(share, rngs)]) for run in runs]
 
 
 def _usable_cpus() -> int:

@@ -30,18 +30,18 @@ def no_process_left():
 @pytest.fixture
 def in_forked_share(monkeypatch):
     """A function that sets sweeps to two CPUs and makes each forked share
-    call ``act()`` as it opens its first block's generator; share 0, run in
-    the sweeping process, draws as usual."""
+    call ``act()`` as it seeds its blocks' generators; share 0, run in the
+    sweeping process, draws as usual."""
     sweeping = os.getpid()
-    open_block = sim.trial_rng
+    seed_share = sim.trial_rngs
 
     def install(act):
-        def block_rng(*args, **kwargs):
+        def share_rngs(*args, **kwargs):
             if os.getpid() != sweeping:
                 act()
-            return open_block(*args, **kwargs)
+            return seed_share(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "trial_rng", block_rng)
+        monkeypatch.setattr(sim, "trial_rngs", share_rngs)
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
 
     return install

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from ma_bench import (DeviceSet, StrongestFirst, SystemParams, TrafficModel,
                       channel_gain, make_device_set, sample_arrivals,
                       sample_placement, trial_rng)
+from ma_bench import model
 
 
 def test_channel_gain_examples():
@@ -229,6 +230,53 @@ def test_trial_rng_keys_must_fit_in_32_bits():
     top = trial_rng(2 ** 32 - 1, 2 ** 32 - 1).random(4)
     plain = np.random.SeedSequence((2 ** 32 - 1, 2 ** 32 - 1))
     assert np.array_equal(top, np.random.Generator(np.random.PCG64(plain)).random(4))
+
+
+def numpy_seeded(key):
+    """The oracle: numpy's own SeedSequence seeding of PCG64."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def assert_same_stream(ours, oracle):
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    assert ours.random() == oracle.random()
+
+
+def test_trial_rng_is_numpy_seed_sequence_seeding():
+    top = 2 ** 32 - 1
+    keys = []
+    for width in range(1, 7):   # every width: inside the 4-word pool and past it
+        base = [123_456_789, 1, 2, 3, 4, 5][:width]
+        keys += [[0] * width, [top] * width]
+        keys += [base[:i] + [edge] + base[i + 1:] for i in range(width) for edge in (0, top)]
+    draw = np.random.default_rng(25)
+    keys += [list(map(int, draw.integers(0, 2 ** 32, int(draw.integers(1, 7)))))
+             for _ in range(2000)]
+    for key in keys:
+        assert_same_stream(trial_rng(*key), numpy_seeded(key))
+
+
+def test_trial_rng_zero_padding_holds_only_inside_the_pool():
+    # SeedSequence pads a key to its 4-word pool with zeros; a 5th word,
+    # even 0, is mixed in by one more loop
+    for seeded in (lambda key: trial_rng(*key), numpy_seeded):
+        assert seeded((7, 3)).random(4).tolist() == seeded((7, 3, 0)).random(4).tolist()
+        assert seeded((7, 3, 0)).random(4).tolist() == seeded((7, 3, 0, 0)).random(4).tolist()
+        assert (seeded((7, 3, 1, 2)).random(4).tolist()
+                != seeded((7, 3, 1, 2, 0)).random(4).tolist())
+
+
+def test_trial_rngs_hashes_keys_in_batches(monkeypatch):
+    keys = [(9, point, block) for point in (4, 0, 4) for block in range(3, 40, 6)]
+    for batch in (model.KEY_BATCH, 5):   # a batch boundary inside a point
+        monkeypatch.setattr(model, "KEY_BATCH", batch)
+        rngs = list(model.trial_rngs(iter(keys)))
+        assert len(rngs) == len(keys)
+        for rng, key in zip(rngs, keys):
+            assert_same_stream(rng, numpy_seeded(key))
+        for bad in ((2 ** 32, 0, 0), (0, -1, 0), (0, 0, 2 ** 32)):
+            with pytest.raises(ValueError, match=r"2\*\*32"):
+                list(model.trial_rngs(keys[:7] + [bad]))
 
 
 def test_system_params_validation():

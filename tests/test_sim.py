@@ -12,7 +12,7 @@ from ma_bench import (BLOCK_TRIALS, Infeasible, SystemParams, TrafficModel,
                       UncoordinatedDesign, aggregate, analytic_rows,
                       noma_design, optimize_design, resolve_design,
                       run_sweep, simulate_point, uncoordinated_throughput)
-from ma_bench import sim
+from ma_bench import model, sim
 from ma_bench.sim import SchemeConfig
 from ma_bench.model import channel_gain, sample_placement, trial_rng
 from ma_bench.uncoordinated import exact_mean_served, noma_supported, transmit_probability
@@ -237,7 +237,7 @@ def test_share_0_error_kills_the_forked_process(params, monkeypatch):
             time.sleep(60)
         raise RuntimeError("share 0 failed")
 
-    monkeypatch.setattr(sim, "trial_rng", fail_here_stall_when_forked)
+    monkeypatch.setattr(sim, "trial_rngs", fail_here_stall_when_forked)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="share 0 failed"):
@@ -246,6 +246,39 @@ def test_share_0_error_kills_the_forked_process(params, monkeypatch):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):   # no child left, running or not reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_monte_carlo_sweep_seeds_each_share_once_and_makes_no_seed_sequence(params,
+                                                                            monkeypatch):
+    made, seeded, hashed = [], [], []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    def share_rngs(keys):
+        seeded.append(list(keys))
+        return seed_share(seeded[-1])
+
+    def hash_keys(keys):
+        hashed.append(len(keys))
+        return seed_words(keys)
+
+    seed_share, seed_words = sim.trial_rngs, model._seed_words
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(sim, "trial_rngs", share_rngs)
+    monkeypatch.setattr(model, "_seed_words", hash_keys)
+    configs = [SchemeConfig("uncoordinated", "fdma"), SchemeConfig("coordinated", "tdma")]
+    rows = sim.sweep(configs, params, [100.0, 400.0], 2 * BLOCK_TRIALS + 1, SEED,
+                     mode="montecarlo")
+    assert len(rows) == 4
+    assert made == []
+    # one share: every block of every point, config by config
+    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)]]
+    assert hashed == [12]   # in one pass
+    np.random.SeedSequence(SEED)   # the count sees numpy's own seeding
+    assert made == [(SEED,)]
 
 
 def test_single_process_sweep_does_not_load_the_pool(fresh_modules):
@@ -262,13 +295,15 @@ def test_single_process_sweep_does_not_load_the_pool(fresh_modules):
 
 def test_single_process_runs_load_no_openssl(fresh_modules, tmp_path):
     # The params digest takes CPython's own SHA-256; hashlib would map
-    # OpenSSL. (A Monte Carlo run loads it anyway: numpy.random imports hmac.)
+    # OpenSSL. (A Monte Carlo run loads it anyway: numpy.random imports hmac,
+    # so the substream seeding builds what it takes from numpy.random on
+    # first use.)
     commands = [["sweep", "--mode", "analytic", "--schemes", "uncoordinated-fdma",
                  "--output", str(tmp_path / "rows.csv")], ["cap"]]
     assert fresh_modules(
         "from ma_bench import cli\n"
         f"assert [cli.main(argv) for argv in {commands!r}] == [0, 0]",
-        ("_hashlib", "ssl")) == []
+        ("_hashlib", "ssl", "numpy.random")) == []
 
 
 def test_digest_falls_back_to_hashlib_without_the_built_in_hashes(fresh_modules):
