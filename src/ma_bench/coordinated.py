@@ -223,10 +223,12 @@ def tdma_min_time(gain: float, params: SystemParams) -> float:
 
 
 def _shares(gains: np.ndarray, params: SystemParams) -> np.ndarray:
-    """The time shares: payload ln 2 / (W log1p(ref_snr * gain)). A step
-    that overflows gives the right share, inf or 0."""
-    return params.payload_bits * _LN2 / (
-        params.bandwidth_hz * np.log1p(params.ref_snr * np.asarray(gains, dtype=float)))
+    """The time shares: payload ln 2 / (W log1p(ref_snr * gain)), in one
+    new array. A step that overflows gives the right share, inf or 0."""
+    shares = np.multiply(params.ref_snr, gains, dtype=float)
+    np.log1p(shares, out=shares)
+    shares *= params.bandwidth_hz
+    return np.divide(params.payload_bits * _LN2, shares, out=shares)
 
 
 def _min_time_array(gains: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -300,13 +302,13 @@ def _scan(devices, parts, read: list, params: SystemParams, per_device, limit: f
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
         after = total + demand.sum() if slack else math.inf
-        if after > fits:
-            running = np.concatenate(([total], demand))
-            running.cumsum(out=running)
-            fit = int(running[1:].searchsorted(fits, side="right"))
+        if after > fits:   # the running sums from the carried total, in place
+            demand[0] += total
+            demand.cumsum(out=demand)
+            fit = int(demand.searchsorted(fits, side="right"))
             if fit < demand.size:
-                return done + fit if running[fit + 1] > misses else None
-            after = float(running[-1])
+                return done + fit if demand[fit] > misses else None
+            after = float(demand[-1])
         total, done = after, done + demand.size
     return n
 
@@ -427,13 +429,42 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     and the count is K* = min(n, min_i max(i - 1, floor(i + x_i))). Gains are
     >= 1, so x_i is at least its cell-edge value: once no unread device can
     lower the minimum, no further slice is read.
+
+    Before each slice, a drawn device can prove that too. No device past
+    far = floor(min(bound, bound - edge)) lowers the bound: past the bound,
+    i - 1 >= bound; else i > bound - edge (a float difference rounds to no
+    less than its floor below 2**53), and i + x_i >= i + edge rounds to at
+    least bound. The source's tail_log2_gain t bounds every unread log2
+    gain up to far but for the error of log2, so done + 1 + max(x(t'), -1)
+    >= bound, t' = fl(t (1 - 2**-43)), proves that none lowers it either.
+    Proof: say np.log2 and math.log2 err by a relative e <= 2**-45 (128
+    ulp; glibc and numpy's SIMD loops claim 4 at most), and u = 2**-53. Log2
+    gains are >= 0, and 0 or normal. For gains g_i >= g, t = fl(log2 g):
+    fl(log2 g_i) >= (1 - e) log2 g >= t (1 - e) / (1 + e) >= t'. For
+    placements v_i <= V, t = fl(-h fl(log2 V)): fl(log2 v_i) <= (1 - e)
+    log2 V <= fl(log2 V) (1 - e) / (1 + e) <= 0, so fl(-h fl(log2 v_i)) >=
+    t (1 - e)(1 - u) / ((1 + e)(1 + u)) >= t'. The steps + offset, / load,
+    max(., -1) and i + x (i exact) round correctly, so monotonically: they
+    need no margin, however large |x|. An inf t may be the overflowed log of
+    a finite gain: it proves nothing. The certificate draws only the chunk
+    of device done + 1, as that slice would; the bound it proves is final,
+    and the slices would stop at the first slice end at or past far, inside
+    that chunk, so the count and the generator's end are those of reading
+    on. A ratio ref_snr / snr_floor that underflows to 0 is taken as a
+    difference of logs.
     """
     load = params.spectral_load
-    offset = math.log2(params.ref_snr / params.snr_floor)
+    ratio = params.ref_snr / params.snr_floor
+    offset = math.log2(ratio) if ratio > 0.0 else \
+        math.log2(params.ref_snr) - math.log2(params.snr_floor)
     edge = offset / load
     bound, done = float(len(devices)), 0
     chunks = iter(devices.log2_gain_chunks())
     while bound > max(done, np.floor(done + 1.0 + edge)):
+        tail = devices.tail_log2_gain(int(min(bound, bound - edge)))
+        if tail is not None and tail < math.inf and done + 1.0 + max(
+                (tail * (1.0 - 2.0 ** -43) + offset) / load, -1.0) >= bound:
+            break
         stack = next(chunks)   # log2 gains, made i + max(x_i, -1) in place
         stack += offset
         stack /= load

@@ -19,6 +19,7 @@ band, and ``bandwidth_ratio`` the total bandwidth over the occupied one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import islice
@@ -146,6 +147,10 @@ class DeviceSet:
         for gains in self.gain_chunks():
             yield np.log2(gains)
 
+    def tail_log2_gain(self, last: int) -> float:
+        """log2 of device ``last``'s gain (1-based)."""
+        return math.log2(self.gains[last - 1])
+
     def drain(self):
         """Nothing is drawn as it is read: nothing to drain."""
 
@@ -158,9 +163,9 @@ _NEAREST = 2.0 ** -53
 class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
-    for them, so a reader that stops early never draws the rest. A reader
-    gets the chunks in slices of FIRST_CHUNK, each mapped to gains (or log2
-    gains) only when read.
+    for them, so a reader that stops early never draws the rest. A chunk is
+    drawn when a reader needs it, then scaled when it is read, in slices of
+    FIRST_CHUNK, each mapped to gains (or log2 gains) only when read.
 
     The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
     their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
@@ -184,6 +189,9 @@ class StrongestFirst:
         self._may_overflow = 26.5 * pathloss_exp >= 1023   # decided once
         self._rng = rng
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
+        # devices read, v_(i) below the newest chunk and the gap above it
+        self._read, self._below, self._gap = 0, 0.0, 1.0
+        self._chunk = self._rest = None   # exponentials and rest; v once scaled
 
     def __len__(self) -> int:
         return self.count
@@ -195,25 +203,33 @@ class StrongestFirst:
         self._drawn, self._size = done + size, 2 * size
         return size
 
+    def _draw(self):
+        """The next chunk's exponentials and rest Gamma, not yet scaled."""
+        self._chunk = self._rng.standard_exponential(self._next_size())
+        self._rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
+
     def _placements(self):
-        """The ascending v_(i), drawn a chunk at a time, in FIRST_CHUNK slices."""
-        below, gap = 0.0, 1.0
-        while self._drawn < self.count:
-            size = self._next_size()
-            v = self._rng.standard_exponential(size)
-            v.cumsum(out=v)
-            rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
-            scale = gap / (v[-1] + rest)
-            v *= scale
-            v += below
-            below, gap = v[-1], scale * rest
-            # v ascends, so only its ends can leave [_NEAREST, 1]
-            if v[0] < _NEAREST:
-                np.maximum(v, _NEAREST, out=v)
-            if v[-1] > 1.0:
-                np.minimum(v, 1.0, out=v)
-            for start in range(0, size, FIRST_CHUNK):
-                yield v[start:start + FIRST_CHUNK]
+        """The ascending v_(i), a chunk scaled as its first slice is read, in
+        FIRST_CHUNK slices."""
+        while self._read < self.count:
+            if self._read == self._drawn:
+                self._draw()
+            v = self._chunk
+            if self._rest is not None:
+                v.cumsum(out=v)
+                scale = self._gap / (v[-1] + self._rest)
+                v *= scale
+                v += self._below
+                self._below, self._gap, self._rest = v[-1], scale * self._rest, None
+                # v ascends, so only its ends can leave [_NEAREST, 1]
+                if v[0] < _NEAREST:
+                    np.maximum(v, _NEAREST, out=v)
+                if v[-1] > 1.0:
+                    np.minimum(v, 1.0, out=v)
+            start = self._read - (self._drawn - v.size)
+            part = v[start:start + FIRST_CHUNK]
+            self._read += part.size
+            yield part
 
     # Both map each slice in place: a suspended reader holds one chunk.
     def gain_chunks(self):
@@ -231,6 +247,32 @@ class StrongestFirst:
             np.log2(v, out=v)
             v *= -self._half_exp
             yield v
+
+    def tail_log2_gain(self, last: int) -> float | None:
+        """The log2 gain (as log2_gain_chunks maps it) of a placement V no
+        nearer than any unread device up to device ``last`` (1-based), or
+        None past the chunk of the next unread device, drawn here if due.
+        Unread devices lie in the newest chunk: scaled, V = v_(last).
+        Unscaled, every float sum of its first j of k exponentials (the
+        cumsum C_j, a pairwise P_j) is within 1 +- g of the exact one, g =
+        (k - 1) u / (1 - (k - 1) u), u = 2**-53 (Higham 2002, sec. 4.2), so
+        fl(fl(C_j scale) + below), scale = fl(gap / fl(C_k + rest)), is at
+        most (P_j gap / D + below)(1 + g)**2 (1 + u)**4 / ((1 - g)**2 (1 - u))
+        for D = fl(P_k + rest): the factor 1 + (k + 8) 2**-50 covers that
+        and V's own four roundings for k < 2**40, and the clamps keep order."""
+        if self._read == self._drawn < self.count:
+            self._draw()
+        if last > self._drawn:
+            return None
+        j = last - (self._drawn - self._chunk.size)   # 1-based, in the chunk
+        if self._rest is None:
+            v = self._chunk[j - 1]
+        else:
+            head, tail = self._chunk[:j].sum(), self._chunk[j:].sum()
+            v = (head * self._gap / (head + tail + self._rest) + self._below) * (
+                1.0 + (self._chunk.size + 8) * 2.0 ** -50)
+            v = min(max(v, _NEAREST), 1.0)
+        return math.log2(v) * -self._half_exp
 
     def drain(self):
         """Make the draws of every chunk not yet drawn, without the arithmetic,

@@ -11,7 +11,10 @@ strongest first from exponential spacings and computes only the prefix
 admission reads: admission stops at the first device that does not fit, or,
 for FDMA and TDMA, once every unread device would fit at the cell-edge
 demand (the unread chunks' random draws are still made, so the block's next
-slot draws the same numbers). A random-access slot (_random_access) draws
+slot draws the same numbers). NOMA may also stop inside a chunk it has drawn
+but not yet scaled, once one of its devices proves that no unread one lowers
+the count; reading slice by slice would have stopped inside that same
+chunk, so the stream does not move. A random-access slot (_random_access) draws
 its served count first, and its arrivals only for a caller that reads them.
 """
 

@@ -601,6 +601,27 @@ def test_coordinated_at_a_hundred_million_arrivals_prints_a_result(capsys):
     assert all(1e4 < value < 1e5 for value in served.values())
 
 
+@pytest.mark.parametrize("command", ["sweep", "coordinated"])
+def test_noma_with_a_snr_ratio_below_the_float_range_serves_none(command, tmp_path, capsys):
+    # ref_snr / snr_floor = 1e-300 / 2**997 underflows to 0; its log2 does not
+    keys = ["--schemes", "coordinated-noma", "--ref-snr", "1e-300",
+            "--payload-bits", "9.97e8", "--trials", "2"]
+    out_path = tmp_path / "rows.csv"
+    if command == "sweep":
+        argv = ["sweep", *keys, "--mode", "montecarlo", "--lambda-steps", "2",
+                "--output", str(out_path)]
+    else:
+        argv = ["coordinated", *keys, "--arrival-rate", "100"]
+    status, out, err = run(argv, capsys)
+    assert status == 0, err
+    if command == "sweep":
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.split(",")[3] == "0.0" for row in rows)
+    else:
+        served = out.splitlines()[-1].split()
+        assert served[0] == "coordinated-noma" and float(served[1]) == 0.0
+
+
 def test_coordinated_analytic_mode_rejected(capsys):
     status, out, err = run(["coordinated", "--mode", "analytic",
                             "--arrival-rate", "10"], capsys)

@@ -58,13 +58,22 @@ class Chunked:
     def log2_gain_chunks(self):
         return self._split(np.log2(self.gains))
 
+    def tail_log2_gain(self, last):
+        return float(np.log2(self.gains[last - 1]))
+
 
 def running_minimum_count(gains, params):
     """The NOMA count grown device by device: the longest prefix whose
     tightest per-device stack cap, a running minimum, still admits it. x_i
     is rounded as the kernel rounds it."""
-    rank = np.arange(1, gains.size + 1)
-    x = (math.log2(params.ref_snr / params.snr_floor) + np.log2(gains)) / params.spectral_load
+    return log2_running_minimum_count(np.log2(gains), params)
+
+
+def log2_running_minimum_count(log2_gains, params):
+    """running_minimum_count from log2 gains, for a source that maps its
+    gains to logs itself."""
+    rank = np.arange(1, log2_gains.size + 1)
+    x = (math.log2(params.ref_snr / params.snr_floor) + log2_gains) / params.spectral_load
     return int(np.count_nonzero(np.minimum.accumulate(rank + x) >= rank))
 
 
@@ -354,6 +363,8 @@ def test_min_time_scalar_equals_admission_path_bitwise():
     shares = tdma_kmax(DeviceSet(gains), params).resources
     assert shares.size == gains.size
     assert np.array_equal([tdma_min_time(float(gain), params) for gain in gains], shares)
+    # and the share's formula, written out, to the bit
+    assert np.array_equal(tdma_demand(gains, params), shares)
 
 
 def test_whole_band_fdma_equals_full_slot_tdma():
@@ -735,6 +746,96 @@ def test_noma_closed_form_on_drawn_gains():
                 20_000, params.pathloss_exp, trial_rng(seed, 13)).gain_chunks()))
             assert noma_admitted_count(DeviceSet(gains), params) \
                 == running_minimum_count(gains, params)
+
+
+def slice_by_slice_noma_count(devices, params):
+    """noma_admitted_count as it stood before the tail certificate, frozen:
+    it reads slices until the cell-edge rule or the count itself stops it."""
+    load = params.spectral_load
+    offset = math.log2(params.ref_snr / params.snr_floor)
+    edge = offset / load
+    bound, done = float(len(devices)), 0
+    chunks = iter(devices.log2_gain_chunks())
+    while bound > max(done, np.floor(done + 1.0 + edge)):
+        stack = next(chunks)
+        stack += offset
+        stack /= load
+        if edge < -1.0:
+            np.maximum(stack, -1.0, out=stack)
+        stack += np.arange(done + 1.0, done + stack.size + 1.0)
+        bound = min(bound, float(np.floor(stack.min())))
+        done += stack.size
+    return int(bound)
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.sampled_from([0, 1, 2047, 2048, 2049, 6143, 6144, 6145,
+                                  14335, 14336, 14337]),
+                 st.integers(0, 24_000), st.integers(10_000, 24_000)),
+       st.sampled_from([SystemParams(), SystemParams(ref_snr=1e-4),   # edge < -1
+                        SystemParams(pathloss_exp=40.0),   # gains past the float range
+                        SystemParams(payload_bits=1e-9, ref_snr=1e-20),   # |x| >= 2**53
+                        SystemParams(payload_bits=3000.0, ref_snr=5.0)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_noma_certificate_keeps_the_count_and_the_draws(n, params, seed):
+    log2_gains = np.concatenate([np.empty(0), *(
+        chunk.copy() for chunk in StrongestFirst(
+            n, params.pathloss_exp, trial_rng(seed)).log2_gain_chunks())])
+    rng, frozen = trial_rng(seed), trial_rng(seed)
+    count = noma_admitted_count(StrongestFirst(n, params.pathloss_exp, rng), params)
+    assert count == log2_running_minimum_count(log2_gains, params)
+    assert count == slice_by_slice_noma_count(
+        StrongestFirst(n, params.pathloss_exp, frozen), params)
+    assert rng.bit_generator.state == frozen.bit_generator.state
+
+
+class SlicesRead(StrongestFirst):
+    """A StrongestFirst that counts the slices a reader takes."""
+
+    read = 0
+
+    def log2_gain_chunks(self):
+        for stack in super().log2_gain_chunks():
+            self.read += 1
+            yield stack
+
+
+@pytest.mark.parametrize("n, most", [(12_000, 0), (15_000, 1), (20_000, 3)])
+def test_noma_certificate_spares_slices_at_default_params(n, most, params):
+    # read slice by slice: 1, 3 and 5 slices (the last two of a chunk of 8192)
+    for seed in range(4):
+        devices = SlicesRead(n, params.pathloss_exp, trial_rng(seed, n))
+        noma_admitted_count(devices, params)
+        assert devices.read <= most
+    assert devices.read == most
+
+
+class Log2Errs(Chunked):
+    """Chunked whose log2 gains err by the given relative amounts."""
+
+    def __init__(self, gains, errors):
+        super().__init__(gains)
+        self.log2_gains = np.log2(gains) * (1.0 + errors)
+
+    def log2_gain_chunks(self):
+        return self._split(self.log2_gains.copy())
+
+    def tail_log2_gain(self, last):
+        return float(self.log2_gains[last - 1])
+
+
+def test_noma_certificate_margin_covers_log2_error():
+    # Spectral load 1 and ref_snr = snr_floor = 1, so x_i is the log2 gain.
+    # Four gains of 8, whose log2 errs by +2**-45 at the last (the device
+    # that bounds the tail) and by -2**-45 at the first: the certificate
+    # reads 1 + 3 (1 + 2**-45) >= 4 without its margin, but the first cap is
+    # 1 + 3 (1 - 2**-45) < 4. A margin of 2**-45 or less admits all 4.
+    params = SystemParams(payload_bits=1e6)
+    e = 2.0 ** -45
+    source = Log2Errs(np.full(4, 8.0), np.array([-e, 0.0, 0.0, e]))
+    assert noma_admitted_count(source, params) == 3 == log2_running_minimum_count(
+        source.log2_gains, params)
+    assert source.served == 1
 
 
 @pytest.mark.parametrize("count, budget, minimum, demand", GREEDY, ids=("fdma", "tdma"))
