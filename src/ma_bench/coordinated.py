@@ -252,22 +252,27 @@ def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -
     # u = 2**-53, m more rounded additions end at most at (used + m edge)(1 +
     # u)**m <= (used + m edge)(1 + m u + (m u)**2); the test's four roundings
     # lose at most a factor (1 - u)**4, and (1 + 2 (m + 2) u)(1 - u)**4 covers
-    # both for 1 <= m <= 2**52. Running sums only grow, so every prefix then
-    # fits. An inf edge never passes.
-    return (used + unread * edge) * (1.0 + (unread + 2) * 2.0 ** -52) <= limit
+    # both for 1 <= m <= 2**52 + 14. Past that, up to POISSON_MAX < 2**63, a
+    # rounded addition of d >= 0 to a float s ends at most at s + 2 d (s
+    # itself lies d from s + d), so the m additions end at most at used +
+    # 2 m edge, and the exact factor 2 + 32 u covers that: (2 + 32 u)(1 -
+    # u)**4 > 2, m's rounding to a float included. Running sums only grow, so
+    # every prefix then fits. An inf edge never passes.
+    return (used + unread * edge) * (1.0 + min(unread + 2, 2 ** 52 + 16) * 2.0 ** -52) <= limit
 
 
 _U = 2.0 ** -53   # unit roundoff
 
 
-def _scan(devices, parts, read: list, params: SystemParams, per_device, limit: float,
+def _scan(n: int, parts, read: list, params: SystemParams, per_device, limit: float,
           minimum: float, edge: float, slack: float) -> int | None:
-    """The count of _admitted_count from the ``per_device`` demands of the
-    slices in ``parts``, each appended to ``read`` as it is read, or None
-    where a nonzero ``slack`` cannot decide it. A slice whose pairwise total
-    passes ``fits`` is summed sequentially from the carried total. At slack
-    0 every slice is summed that way and fits = misses = limit, so the scan
-    is the exact kernel: one sequential float sum across slices.
+    """The count of _admitted_count over n devices from the ``per_device``
+    demands of the slices in ``parts``, each appended to ``read`` as it is
+    read, or None where a nonzero ``slack`` cannot decide it. A slice whose
+    pairwise total passes ``fits`` is summed sequentially from the carried
+    total. At slack 0 every slice is summed that way and fits = misses =
+    limit, so the scan is the exact kernel: one sequential float sum across
+    slices.
 
     Let S_k be the exact kernel's sequential float sum of the first k exact
     demands d_i, and R_k any float sum (pairwise, blocked, in any order) of
@@ -289,13 +294,11 @@ def _scan(devices, parts, read: list, params: SystemParams, per_device, limit: f
     test reads the upper end, one float above fl(R_k hi) >= S_k, so it fires
     only where the exact test would fire too.
     """
-    n = len(devices)
     hi = 1.0 + slack
     fits, misses = limit / hi, limit / (1.0 - slack)
     total, done = 0.0, 0
     while done < n:
         if _edge_admits_the_rest(math.nextafter(total * hi, math.inf), n - done, edge, limit):
-            devices.drain()
             return n
         read.append(next(parts))
         demand = per_device(read[-1], params)
@@ -331,11 +334,8 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     of the rest.
 
     Every gain is >= 1, so no unread device needs more than the cell-edge
-    demand. Once the m unread devices fit at that demand, all n do: the rest
-    is not solved, and a StrongestFirst source only makes the draws it would
-    have made (drain), so its generator ends where a full read leaves it.
-    Reading a slice makes the same draws as draining its chunk, so the count
-    alone sets where the generator ends.
+    demand. Once the m unread devices fit at that demand, all n do, and the
+    rest is neither drawn nor solved.
 
     All of this runs with numpy's overflow and divide-by-zero warnings off.
     A demand or running sum that overflows, or a share whose divisor rounds
@@ -349,11 +349,11 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
         edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
         if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
             gamma = n * _U / (1.0 - n * _U)
-            count = _scan(devices, parts, read, params, fast, limit, minimum, edge,
+            count = _scan(n, parts, read, params, fast, limit, minimum, edge,
                           3.0 * gamma + 2.0 * error + 4.0 * _U)
             if count is not None:
                 return count
-        return _scan(devices, itertools.chain(read, parts), [], params, exact, limit,
+        return _scan(n, itertools.chain(read, parts), [], params, exact, limit,
                      minimum, edge, 0.0)
 
 
@@ -448,19 +448,18 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     need no margin, however large |x|. An inf t may be the overflowed log of
     a finite gain: it proves nothing. The certificate draws only the chunk
     of device done + 1, as that slice would; the bound it proves is final,
-    and the slices would stop at the first slice end at or past far, inside
-    that chunk, so the count and the generator's end are those of reading
-    on. A ratio ref_snr / snr_floor that underflows to 0 is taken as a
-    difference of logs.
+    so the count is that of reading on. A ratio ref_snr / snr_floor that
+    underflows to 0 is taken as a difference of logs. The bound starts as
+    the int n and is compared with floats exactly, so no n is rounded.
     """
     load = params.spectral_load
     ratio = params.ref_snr / params.snr_floor
     offset = math.log2(ratio) if ratio > 0.0 else \
         math.log2(params.ref_snr) - math.log2(params.snr_floor)
     edge = offset / load
-    bound, done = float(len(devices)), 0
+    bound, done = len(devices), 0
     chunks = iter(devices.log2_gain_chunks())
-    while bound > max(done, np.floor(done + 1.0 + edge)):
+    while bound > max(done, float(np.floor(done + 1.0 + edge))):
         tail = devices.tail_log2_gain(int(min(bound, bound - edge)))
         if tail is not None and tail < math.inf and done + 1.0 + max(
                 (tail * (1.0 - 2.0 ** -43) + offset) / load, -1.0) >= bound:

@@ -151,9 +151,6 @@ class DeviceSet:
         """log2 of device ``last``'s gain (1-based)."""
         return math.log2(self.gains[last - 1])
 
-    def drain(self):
-        """Nothing is drawn as it is read: nothing to drain."""
-
 
 # Smallest squared distance a placement takes: that of 1 - random(), so a zero
 # spacing gives the strongest gain a placement can have rather than inf.
@@ -178,7 +175,9 @@ class StrongestFirst:
     pathloss_exp 2046 / 53 on, the strongest can overflow to inf, which the
     kernels take as a device needing no resource.
 
-    Chunks draw from ``rng`` as they are read: read each instance once.
+    Chunks draw from ``rng`` as they are read, so where ``rng`` ends depends
+    on how far the reader read: read each instance once, and give each its
+    own generator (the engine keys one per slot).
     """
 
     def __init__(self, count: int, pathloss_exp: float, rng: np.random.Generator):
@@ -196,16 +195,11 @@ class StrongestFirst:
     def __len__(self) -> int:
         return self.count
 
-    def _next_size(self) -> int:
-        """Size of the next chunk; counts it as drawn."""
-        done = self._drawn
-        size = min(self._size, self.count - done)
-        self._drawn, self._size = done + size, 2 * size
-        return size
-
     def _draw(self):
         """The next chunk's exponentials and rest Gamma, not yet scaled."""
-        self._chunk = self._rng.standard_exponential(self._next_size())
+        size = min(self._size, self.count - self._drawn)
+        self._drawn, self._size = self._drawn + size, 2 * size
+        self._chunk = self._rng.standard_exponential(size)
         self._rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
 
     def _placements(self):
@@ -273,18 +267,6 @@ class StrongestFirst:
                 1.0 + (self._chunk.size + 8) * 2.0 ** -50)
             v = min(max(v, _NEAREST), 1.0)
         return math.log2(v) * -self._half_exp
-
-    def drain(self):
-        """Make the draws of every chunk not yet drawn, without the arithmetic,
-        so ``rng`` ends where reading every slice would leave it. A generator
-        fills an array one value after another, so the exponentials can go
-        through a FIRST_CHUNK buffer."""
-        buffer = np.empty(min(FIRST_CHUNK, self.count - self._drawn))
-        while self._drawn < self.count:
-            size = self._next_size()
-            for start in range(0, size, buffer.size):
-                self._rng.standard_exponential(out=buffer[:size - start])
-            self._rng.standard_gamma(self.count + 1 - self._drawn)
 
 
 def channel_gain(normalized_distance, pathloss_exp: float):

@@ -6,16 +6,16 @@ or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
 bit-identical for any worker count. A share of a sweep hashes the keys of
 all its points' blocks in one vectorised pass (model.trial_rngs) and makes
-each block's generator as the block runs. A coordinated slot draws its gains
-strongest first from exponential spacings and computes only the prefix
-admission reads: admission stops at the first device that does not fit, or,
-for FDMA and TDMA, once every unread device would fit at the cell-edge
-demand (the unread chunks' random draws are still made, so the block's next
-slot draws the same numbers). NOMA may also stop inside a chunk it has drawn
-but not yet scaled, once one of its devices proves that no unread one lowers
-the count; reading slice by slice would have stopped inside that same
-chunk, so the stream does not move. A random-access slot (_random_access) draws
-its served count first, and its arrivals only for a caller that reads them.
+each block's generator as the block runs. A coordinated block draws its
+arrivals from that generator, and each of its slots draws its gains from its
+own, keyed (master_seed, point index, block index, slot + 1), so every scheme
+sees the same placements. A slot draws its gains strongest first from
+exponential spacings and only as far as admission reads: admission stops at
+the first device that does not fit, or, for FDMA and TDMA, once every unread
+device would fit at the cell-edge demand. NOMA may also stop inside a chunk
+it has drawn but not yet scaled, once one of its devices proves that no
+unread one lowers the count. A random-access slot (_random_access) draws its
+served count first, and its arrivals only for a caller that reads them.
 """
 
 from __future__ import annotations
@@ -181,15 +181,20 @@ def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficMode
                 master_seed: int, point_index: int, trials: int, blocks: range, rngs=None):
     """Per block: its served counts and a function that returns its arrivals,
     drawn from the block's (master_seed, point_index, block) generator: the
-    next of ``rngs``, or of the blocks' own trial_rngs."""
+    next of ``rngs``, or of the blocks' own trial_rngs. A coordinated slot
+    draws its gains from (master_seed, point_index, block, slot + 1): a key
+    padded with a zero is the block's own (trial_rng)."""
     if rngs is None:
         rngs = trial_rngs((master_seed, point_index, block) for block in blocks)
     if config.family == UNCOORDINATED:
         draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
     else:
-        def draw(rng, size):
+        def draw(rng, size):   # ``block`` is the loop's, below
             arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
-            return [run_trial(config, params, int(n), rng) for n in arrivals], lambda: arrivals
+            slots = trial_rngs([(master_seed, point_index, block, slot + 1)
+                                for slot in range(size)])
+            return ([run_trial(config, params, int(n), slot) for n, slot in zip(arrivals, slots)],
+                    lambda: arrivals)
     for block in blocks:
         yield draw(next(rngs), min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
 

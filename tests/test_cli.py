@@ -601,6 +601,20 @@ def test_coordinated_at_a_hundred_million_arrivals_prints_a_result(capsys):
     assert all(1e4 < value < 1e5 for value in served.values())
 
 
+def test_coordinated_slots_where_every_device_fits_cost_no_device(capsys):
+    # 10^12 arrivals, each fitting at the cell-edge demand: a slot admits them
+    # all without drawing one, so its cost does not grow with the load
+    start = time.perf_counter()
+    status, out, err = run(["coordinated", "--arrival-rate", "1e12", "--payload-bits", "1e-6",
+                            "--ref-snr", "1e300", "--trials", "1"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert status == 0, err
+    served = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()
+              if line.startswith("coordinated-")}
+    assert set(served) == {"coordinated-fdma", "coordinated-tdma", "coordinated-noma"}
+    assert len(set(served.values())) == 1 and abs(served["coordinated-fdma"] - 1e12) < 1e7
+
+
 @pytest.mark.parametrize("command", ["sweep", "coordinated"])
 def test_noma_with_a_snr_ratio_below_the_float_range_serves_none(command, tmp_path, capsys):
     # ref_snr / snr_floor = 1e-300 / 2**997 underflows to 0; its log2 does not
@@ -767,33 +781,40 @@ def test_trials_past_the_substream_keys_are_one_error_line(argv, tmp_path, monke
     assert not out_path.exists()
 
 
-# sha256 of the coordinated sweep below, recorded before admission was
-# certified: counts and generator end states, hence every byte, are unchanged.
-COORDINATED_GOLDEN = "a0c8b7635c0181d4328ca6b667d1af37420e60323967ab6a09986162efb553da"
+# sha256 of coordinated_digest()'s sweep, recorded when each coordinated slot
+# came to draw its placements from its own substream. After a deliberate
+# change, print it with
+#   PYTHONPATH=src:tests python -c "import test_cli as t; print(t.coordinated_digest())"
+COORDINATED_GOLDEN = "b7a11eaeeab36da217cb9033a500ba58dd453dbaccd42fdb05ef587115b0bbd5"
 
 
-def test_coordinated_sweep_bytes_are_pinned(tmp_path, capsys):
-    out_path = tmp_path / "rows.csv"
-    status, _, err = run(["sweep", "--schemes",
-                          "coordinated-fdma,coordinated-tdma,coordinated-noma",
-                          "--lambda-min", "5000", "--lambda-max", "20000",
-                          "--lambda-steps", "4", "--trials", "64", "--master-seed", "0",
-                          "--output", str(out_path)], capsys)
-    assert status == 0, err
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == COORDINATED_GOLDEN
+def coordinated_digest():
+    """sha256 of a 64-trial sweep of the three coordinated schemes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "rows.csv"
+        status = main(["sweep", "--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
+                       "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4",
+                       "--trials", "64", "--master-seed", "0", "--output", str(out_path)])
+        assert status == 0
+        return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+def test_coordinated_sweep_bytes_are_pinned():
+    assert coordinated_digest() == COORDINATED_GOLDEN
 
 
 UNCOORDINATED_SCHEMES = "uncoordinated-fdma,uncoordinated-tdma,uncoordinated-noma"
 # sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process): the
-# coordinated ones recorded when a process pool ran the second share, the
-# uncoordinated ones when random-access slots came to draw their served count
-# first, from its Binomial(N, mu e^-mu) law. After a deliberate change, print
+# coordinated ones recorded when each coordinated slot came to draw its
+# placements from its own substream, the uncoordinated ones when
+# random-access slots came to draw their served count first, from its
+# Binomial(N, mu e^-mu) law. After a deliberate change, print
 # every case's digest at --workers 1 and 2, as the test below computes it, with
 #   PYTHONPATH=src:tests python -c "import test_cli as t; [print(c, w, t.sweep_digest(c, w)) for c in t.SWEEP_GOLDENS for w in '12']"
 SWEEP_GOLDENS = {
     "coordinated": (["--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
                      "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4"],
-                    "66a175125bb6db6dc9500f7d4142717932a73b49ef6c13b96cfb34f673ebd654"),
+                    "9f4c9b071f3b563b03203232da2ca9f5d726061e65967388c7cfa6f03559ca94"),
     "uncoordinated": (["--schemes", UNCOORDINATED_SCHEMES],
                       "40ca3e1ef360c80f4407c29334bcde56f14c67903881ccafc9bfe4bfb67062c1"),
     "uncoordinated-fine-minima": (["--schemes", UNCOORDINATED_SCHEMES, "--min-slot-s", "1e-4",
@@ -806,7 +827,7 @@ SWEEP_GOLDENS = {
                                      "coordinated-fdma,coordinated-tdma,coordinated-noma",
                                      "--lambda-min", "5000", "--lambda-max", "20000",
                                      "--lambda-steps", "4", "--enforce-minimum"],
-                                    "80238387415a74d215f7e995c44ed741212de91edeb6b7e83f0093635d780dfc"),
+                                    "b93846b2a2a88a2907a2e4cb057178b2ed63b30c4db84bc05e5b8ecb4d7f6edf"),
     "uncoordinated-pathloss-exp": (["--schemes", UNCOORDINATED_SCHEMES, "--pathloss-exp", "3.1"],
                                    "2a6c3519c61de87240c9889ab7caaf3bf94f28a9e8b81c509bbba3d19c99deb4"),
     "uncoordinated-slot-s": (["--schemes", UNCOORDINATED_SCHEMES, "--slot-s", "10"],

@@ -49,9 +49,6 @@ class Chunked:
                 self.served += 1
                 yield chunk
 
-    def drain(self):
-        pass
-
     def gain_chunks(self):
         return self._split(self.gains)
 
@@ -480,18 +477,6 @@ def test_admitted_counts_equal_the_sequential_sum(case):
         assert count(devices, params, enforce) == expected
 
 
-def exact_end_state(n, pathloss_exp, seed, count):
-    """The generator state the exact kernel leaves after admitting ``count``
-    of n StrongestFirst devices: every chunk drawn through the slice holding
-    the first misfit, all of them when every device fits."""
-    rng, read = trial_rng(seed), 0
-    for gains in StrongestFirst(n, pathloss_exp, rng).gain_chunks():
-        read += gains.size
-        if read > count:
-            break
-    return rng.bit_generator.state
-
-
 @settings(max_examples=120)
 @given(slot_parameters(20_000), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
@@ -502,10 +487,8 @@ def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
     for count, budget, minimum, demand in GREEDY:
         expected = sequential_count(gains, params, getattr(params, budget),
                                     getattr(params, minimum) if enforce else 0.0, demand)
-        rng = trial_rng(seed)
-        assert count(StrongestFirst(n, params.pathloss_exp, rng), params, enforce) == expected
-        assert rng.bit_generator.state == exact_end_state(n, params.pathloss_exp, seed,
-                                                          expected)
+        devices = StrongestFirst(n, params.pathloss_exp, trial_rng(seed))
+        assert count(devices, params, enforce) == expected
 
 
 @settings(max_examples=200)
@@ -647,8 +630,9 @@ def test_cell_edge_bound_at_the_budget_edge(count, budget, minimum, demand):
     (tdma_admitted_count, 100.0, 5_000), (tdma_admitted_count, 100.0, 15_000)])
 def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch):
     # The bound admits the unread devices, before the first chunk or inside a
-    # later one (the 15,000-device slots), but their chunks' draws are still
-    # made: the generator ends where reading every chunk would leave it.
+    # later one (the 15,000-device slots), without solving their demands, and
+    # keeps every device a full read would draw: that realization's sequential
+    # count is every arrival too.
     params = SystemParams(payload_bits=payload)
     solved = []
     solvers = (("min_bandwidth_array", "_bracketed_widths") if count is fdma_admitted_count
@@ -656,13 +640,26 @@ def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch)
     for name in solvers:   # every demand solver admission may call
         monkeypatch.setattr(coordinated, name, lambda gains, p, solver=getattr(coordinated, name):
                             solved.append(gains.size) or solver(gains, p))
-    rng, twin = trial_rng(21, arrivals), trial_rng(21, arrivals)
-    assert count(StrongestFirst(arrivals, params.pathloss_exp, rng), params) == arrivals
+    devices, twin = (StrongestFirst(arrivals, params.pathloss_exp, trial_rng(21, arrivals))
+                     for _ in range(2))
+    assert count(devices, params) == arrivals
     assert sum(solved) < arrivals
-    gains = np.concatenate(list(StrongestFirst(arrivals, params.pathloss_exp, twin).gain_chunks()))
-    assert rng.bit_generator.state == twin.bit_generator.state
+    gains = np.concatenate(list(twin.gain_chunks()))
     _, budget, _, demand = next(case for case in GREEDY if case[0] is count)
     assert sequential_count(gains, params, getattr(params, budget), 0.0, demand) == arrivals
+
+
+@pytest.mark.parametrize("count", [fdma_admitted_count, tdma_admitted_count,
+                                   noma_admitted_count])
+def test_an_all_fit_slot_of_2_60_arrivals_draws_no_device(count):
+    # every device fits at the cell-edge demand, within the bound's factor
+    # 2 + 2**-48 (NOMA: its cap overflows), so admission returns n before
+    # drawing a chunk, however large n is
+    params, n = SystemParams(payload_bits=2e-10, ref_snr=1e300), 2 ** 60
+    rng = trial_rng(5)
+    start = rng.bit_generator.state
+    assert count(StrongestFirst(n, params.pathloss_exp, rng), params) == n
+    assert rng.bit_generator.state == start
 
 
 # --- superposition power stacks ----------------------------------------------
@@ -787,6 +784,14 @@ def test_noma_certificate_keeps_the_count_and_the_draws(n, params, seed):
     assert count == slice_by_slice_noma_count(
         StrongestFirst(n, params.pathloss_exp, frozen), params)
     assert rng.bit_generator.state == frozen.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2 ** 53 + 1, 2 ** 53 + 3, 2 ** 62 + 1536])
+def test_noma_admits_exactly_n_devices_past_2_53(n):
+    # float(n) would round these to n - 1, n + 1 and n + 512
+    params = SystemParams(payload_bits=1e-6, ref_snr=1e300)
+    count = noma_admitted_count(StrongestFirst(n, params.pathloss_exp, trial_rng(5)), params)
+    assert type(count) is int and count == n
 
 
 class SlicesRead(StrongestFirst):

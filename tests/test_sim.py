@@ -274,9 +274,13 @@ def test_monte_carlo_sweep_seeds_each_share_once_and_makes_no_seed_sequence(para
                      mode="montecarlo")
     assert len(rows) == 4
     assert made == []
-    # one share: every block of every point, config by config
-    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)]]
-    assert hashed == [12]   # in one pass
+    # one share: every block of every point, config by config, in one pass;
+    # then each coordinated block's slots (64, 64 and 1), in one pass a block
+    sizes = (BLOCK_TRIALS, BLOCK_TRIALS, 1)
+    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)]] + [
+        [(SEED, point, block, slot + 1) for slot in range(size)]
+        for point in (0, 1) for block, size in enumerate(sizes)]
+    assert hashed == [12, *sizes, *sizes]
     np.random.SeedSequence(SEED)   # the count sees numpy's own seeding
     assert made == [(SEED,)]
 
@@ -412,6 +416,25 @@ def test_coordinated_noma_serves_everyone_at_light_load(params):
     counts = simulate_point(SchemeConfig("coordinated", "noma"), params,
                             TrafficModel(50.0), SEED, 0, 100)
     assert np.array_equal(counts.served, counts.arrivals)
+
+
+def test_coordinated_schemes_share_arrivals_and_placements(params, monkeypatch):
+    # common random numbers: at each (rate, block, slot) every coordinated
+    # scheme gets the same arrival count and a generator in the same state,
+    # hence the same StrongestFirst draws; no two slots share a generator
+    seen, run_trial = {}, sim.run_trial
+
+    def recorded(config, params, arrivals, rng):
+        state = rng.bit_generator.state["state"]
+        seen.setdefault(config.scheme, []).append((arrivals, state["state"], state["inc"]))
+        return run_trial(config, params, arrivals, rng)
+
+    monkeypatch.setattr(sim, "run_trial", recorded)
+    configs = [SchemeConfig("coordinated", scheme) for scheme in ("fdma", "tdma", "noma")]
+    sim.sweep(configs, params, [5000.0, 20000.0], BLOCK_TRIALS + 3, SEED, mode="montecarlo")
+    assert len(seen["fdma"]) == 2 * (BLOCK_TRIALS + 3)
+    assert seen["fdma"] == seen["tdma"] == seen["noma"]
+    assert len({slot[1:] for slot in seen["fdma"]}) == len(seen["fdma"])
 
 
 def test_analytic_rows_uncoordinated_only(params):
