@@ -9,10 +9,13 @@ every successive-cancellation stage decodable. Devices are admitted
 strongest gain first, since weaker devices always need more resource, and
 each kernel stops at the first device that does not fit, or as soon as no
 unread device can change the count: every gain is >= 1, so a cell-edge
-device needs the most. The count kernels read the gains in slices of
-FIRST_CHUNK (``gain_chunks()`` or ``log2_gain_chunks()`` of a DeviceSet, or
-of a StrongestFirst, drawn as read), so a chunked source computes gains only
-as far as the kernel reads.
+device needs the most. The kernels read gains through a source's reader()
+(a DeviceSet's, or a StrongestFirst's, drawn as read), so a chunked source
+computes gains only as far as the kernel reads. NOMA asks for FIRST_CHUNK
+devices a read; FDMA and TDMA size each read to end near the budget
+crossing (_scan). The size is only a heuristic: no count depends on where
+reads split, and a source draws the same chunks for any size up to where
+the reader stops, so no count or output byte depends on it.
 
 The FDMA and TDMA counts are those of one sequential sum of the exact
 demands (min_bandwidth_array's walked widths, the closed-form time shares),
@@ -25,15 +28,14 @@ count, the same scan at zero slack is the exact sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (FDMA, NOMA, TDMA, DeviceSet, Infeasible, StrongestFirst,
-                    SystemParams)
+from .model import (FDMA, FIRST_CHUNK, NOMA, TDMA, DeviceSet, Infeasible,
+                    StrongestFirst, SystemParams)
 
 _LN2 = math.log(2.0)
 
@@ -264,15 +266,19 @@ def _edge_admits_the_rest(used: float, unread: int, edge: float, limit: float) -
 _U = 2.0 ** -53   # unit roundoff
 
 
-def _scan(n: int, parts, read: list, params: SystemParams, per_device, limit: float,
+def _scan(n: int, read, kept: list, params: SystemParams, per_device, limit: float,
           minimum: float, edge: float, slack: float) -> int | None:
     """The count of _admitted_count over n devices from the ``per_device``
-    demands of the slices in ``parts``, each appended to ``read`` as it is
-    read, or None where a nonzero ``slack`` cannot decide it. A slice whose
-    pairwise total passes ``fits`` is summed sequentially from the carried
-    total. At slack 0 every slice is summed that way and fits = misses =
-    limit, so the scan is the exact kernel: one sequential float sum across
-    slices.
+    demands of the slices in ``kept``, then of those ``read(size)`` returns,
+    each appended to ``kept``, or None where a nonzero ``slack`` cannot
+    decide it. A slice whose pairwise total passes ``fits`` is summed
+    sequentially from the carried total. At slack 0 every slice is summed
+    that way and fits = misses = limit, so the scan is the exact kernel: one
+    sequential float sum across slices. Demands only grow, so after a slice
+    whose last demand is d no more than (fits - total) / d devices fit, and
+    the next read asks for that many plus two (the first that does not fit,
+    and one for rounding), FIRST_CHUNK at most: a heuristic only, as no
+    count depends on where slices split.
 
     Let S_k be the exact kernel's sequential float sum of the first k exact
     demands d_i, and R_k any float sum (pairwise, blocked, in any order) of
@@ -296,15 +302,17 @@ def _scan(n: int, parts, read: list, params: SystemParams, per_device, limit: fl
     """
     hi = 1.0 + slack
     fits, misses = limit / hi, limit / (1.0 - slack)
-    total, done = 0.0, 0
+    total, done, size, index = 0.0, 0, FIRST_CHUNK, 0
     while done < n:
         if _edge_admits_the_rest(math.nextafter(total * hi, math.inf), n - done, edge, limit):
             return n
-        read.append(next(parts))
-        demand = per_device(read[-1], params)
+        if index == len(kept):
+            kept.append(read(size))
+        demand = per_device(kept[index], params)
         if minimum > 0.0:
             demand = np.maximum(demand, minimum)
-        after = total + demand.sum() if slack else math.inf
+        index, last = index + 1, demand[-1]
+        after = total + np.add.reduce(demand) if slack else math.inf
         if after > fits:   # the running sums from the carried total, in place
             demand[0] += total
             demand.cumsum(out=demand)
@@ -313,6 +321,7 @@ def _scan(n: int, parts, read: list, params: SystemParams, per_device, limit: fl
                 return done + fit if demand[fit] > misses else None
             after = float(demand[-1])
         total, done = after, done + demand.size
+        size = int(min(FIRST_CHUNK, (fits - total) / last + 2.0)) if last else FIRST_CHUNK
     return n
 
 
@@ -344,17 +353,16 @@ def _admitted_count(devices, params: SystemParams, budget: float, minimum: float
     """
     n = len(devices)
     limit = budget * (1.0 + _BUDGET_TOL)
-    parts, read = iter(devices.gain_chunks()), []
+    read, kept = devices.reader(), []
     with np.errstate(over="ignore", divide="ignore"):
         edge = _edge_demand(exact, params, minimum) * (1.0 + 2.0 ** -50)
         if n < 2 ** 40 and 2.0 ** -1000 <= limit <= 2.0 ** 1000:   # the enclosure's range
             gamma = n * _U / (1.0 - n * _U)
-            count = _scan(n, parts, read, params, fast, limit, minimum, edge,
+            count = _scan(n, read, kept, params, fast, limit, minimum, edge,
                           3.0 * gamma + 2.0 * error + 4.0 * _U)
             if count is not None:
                 return count
-        return _scan(n, itertools.chain(read, parts), [], params, exact, limit,
-                     minimum, edge, 0.0)
+        return _scan(n, read, kept, params, exact, limit, minimum, edge, 0.0)
 
 
 def fdma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParams,
@@ -458,13 +466,13 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
         math.log2(params.ref_snr) - math.log2(params.snr_floor)
     edge = offset / load
     bound, done = len(devices), 0
-    chunks = iter(devices.log2_gain_chunks())
+    read = devices.reader(log2=True)
     while bound > max(done, float(np.floor(done + 1.0 + edge))):
         tail = devices.tail_log2_gain(int(min(bound, bound - edge)))
         if tail is not None and tail < math.inf and done + 1.0 + max(
                 (tail * (1.0 - 2.0 ** -43) + offset) / load, -1.0) >= bound:
             break
-        stack = next(chunks)   # log2 gains, made i + max(x_i, -1) in place
+        stack = read(FIRST_CHUNK)   # log2 gains, made i + max(x_i, -1) in place
         stack += offset
         stack /= load
         if edge < -1.0:   # else every x_i >= edge >= -1 already

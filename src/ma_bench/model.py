@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat, takewhile
 
 import numpy as np
 
@@ -32,7 +32,7 @@ try:
     from _sha2 import sha256   # Python 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256   # Python 3.10-3.11
+        from _sha256 import sha256   # Python 3.11
     except ImportError:   # a build without the built-in hashes
         from hashlib import sha256
 
@@ -108,9 +108,8 @@ class TrafficModel:
             raise ValueError(f"arrival_rate must be finite and >= 0, got {self.arrival_rate!r}")
 
 
-# Devices in StrongestFirst's first chunk; each later chunk doubles. Chunk
-# sources hand the admission kernels slices of this size, so every chunk
-# splits into whole slices.
+# Devices in StrongestFirst's first chunk; each later chunk doubles. Also the
+# most an admission kernel asks a source for at a time (coordinated._scan).
 FIRST_CHUNK = 2048
 
 
@@ -136,16 +135,18 @@ class DeviceSet:
         """The ``count`` strongest devices."""
         return DeviceSet(self.gains[:count])
 
-    def gain_chunks(self):
-        """The gains in slices of FIRST_CHUNK, the form the admission kernels
-        read."""
-        for start in range(0, self.gains.size, FIRST_CHUNK):
-            yield self.gains[start:start + FIRST_CHUNK]
+    def reader(self, log2: bool = False):
+        """read(count): the next ``count`` gains (log2 gains with ``log2``),
+        strongest first, from a cursor of its own, as the admission kernels
+        read a source (StrongestFirst.reader); none once all are read."""
+        done = 0
 
-    def log2_gain_chunks(self):
-        """log2 of the gains, a slice at a time as read."""
-        for gains in self.gain_chunks():
-            yield np.log2(gains)
+        def read(count: int) -> np.ndarray:
+            nonlocal done
+            part = self.gains[done:done + count]
+            done += part.size
+            return np.log2(part) if log2 else part
+        return read
 
     def tail_log2_gain(self, last: int) -> float:
         """log2 of device ``last``'s gain (1-based)."""
@@ -161,8 +162,9 @@ class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
     for them, so a reader that stops early never draws the rest. A chunk is
-    drawn when a reader needs it, then scaled when it is read, in slices of
-    FIRST_CHUNK, each mapped to gains (or log2 gains) only when read.
+    drawn when a read reaches it and scaled when it is first read; each read
+    maps to gains (or log2 gains) only the devices it returns. How much a
+    read asks for changes neither the chunks nor their draws.
 
     The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
     their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
@@ -190,7 +192,7 @@ class StrongestFirst:
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
         # devices read, v_(i) below the newest chunk and the gap above it
         self._read, self._below, self._gap = 0, 0.0, 1.0
-        self._chunk = self._rest = None   # exponentials and rest; v once scaled
+        self._chunk, self._rest = np.empty(0), None   # exponentials and rest; v once scaled
 
     def __len__(self) -> int:
         return self.count
@@ -202,11 +204,14 @@ class StrongestFirst:
         self._chunk = self._rng.standard_exponential(size)
         self._rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
 
-    def _placements(self):
-        """The ascending v_(i), a chunk scaled as its first slice is read, in
-        FIRST_CHUNK slices."""
-        while self._read < self.count:
-            if self._read == self._drawn:
+    def reader(self, log2: bool = False):
+        """read(count): the gains (log2 gains with ``log2``) of the next
+        ``count`` devices, fewer where the drawn chunk ends (a read never
+        crosses a chunk), none once all are read. It draws the next chunk
+        when it reaches it, scales a chunk to the ascending v_(i) when it
+        first reads it, and maps only the part it returns, in place."""
+        def read(count: int) -> np.ndarray:
+            if self._read == self._drawn < self.count:
                 self._draw()
             v = self._chunk
             if self._rest is not None:
@@ -221,29 +226,21 @@ class StrongestFirst:
                 if v[-1] > 1.0:
                     np.minimum(v, 1.0, out=v)
             start = self._read - (self._drawn - v.size)
-            part = v[start:start + FIRST_CHUNK]
+            part = v[start:start + count]
             self._read += part.size
-            yield part
-
-    # Both map each slice in place: a suspended reader holds one chunk.
-    def gain_chunks(self):
-        for v in self._placements():
-            if self._may_overflow:   # an inf gain is expected: no warning
+            if log2:   # -(pathloss_exp / 2) * log2(v): no power taken
+                np.log2(part, out=part)
+                part *= -self._half_exp
+            elif self._may_overflow:   # an inf gain is expected: no warning
                 with np.errstate(over="ignore"):
-                    np.power(v, -self._half_exp, out=v)
+                    np.power(part, -self._half_exp, out=part)
             else:
-                np.power(v, -self._half_exp, out=v)
-            yield v
-
-    def log2_gain_chunks(self):
-        """log2 of the gains, -(pathloss_exp / 2) * log2(v): no power taken."""
-        for v in self._placements():
-            np.log2(v, out=v)
-            v *= -self._half_exp
-            yield v
+                np.power(part, -self._half_exp, out=part)
+            return part
+        return read
 
     def tail_log2_gain(self, last: int) -> float | None:
-        """The log2 gain (as log2_gain_chunks maps it) of a placement V no
+        """The log2 gain (as a log2 reader maps it) of a placement V no
         nearer than any unread device up to device ``last`` (1-based), or
         None past the chunk of the next unread device, drawn here if due.
         Unread devices lie in the newest chunk: scaled, V = v_(last).
@@ -305,9 +302,10 @@ def sample_arrivals(traffic: TrafficModel, slot_s: float, rng: np.random.Generat
 
 def make_device_set(count: int, params: SystemParams, rng: np.random.Generator) -> DeviceSet:
     """The gains of ``count`` devices placed uniformly in the cell, strongest
-    first: one StrongestFirst, the engine's sampler, read in full."""
-    return DeviceSet(np.concatenate([np.empty(0), *StrongestFirst(
-        count, params.pathloss_exp, rng).gain_chunks()]))
+    first: one StrongestFirst, the engine's sampler, read until a read is
+    empty."""
+    reads = map(StrongestFirst(count, params.pathloss_exp, rng).reader(), repeat(count))
+    return DeviceSet(np.concatenate([np.empty(0), *takewhile(len, reads)]))
 
 
 # Keys hashed at a time by trial_rngs, so its memory does not grow with trials.

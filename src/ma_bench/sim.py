@@ -5,17 +5,18 @@ Every trial realizes one slot: Poisson arrivals, then the scheme's admission
 or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
 bit-identical for any worker count. A share of a sweep hashes the keys of
-all its points' blocks in one vectorised pass (model.trial_rngs) and makes
-each block's generator as the block runs. A coordinated block draws its
-arrivals from that generator, and each of its slots draws its gains from its
-own, keyed (master_seed, point index, block index, slot + 1), so every scheme
-sees the same placements. A slot draws its gains strongest first from
-exponential spacings and only as far as admission reads: admission stops at
-the first device that does not fit, or, for FDMA and TDMA, once every unread
-device would fit at the cell-edge demand. NOMA may also stop inside a chunk
-it has drawn but not yet scaled, once one of its devices proves that no
-unread one lowers the count. A random-access slot (_random_access) draws its
-served count first, and its arrivals only for a caller that reads them.
+all its points' blocks in one vectorised stream (model.trial_rngs), those of
+all its coordinated slots in another, and makes each generator as it is
+used. A coordinated block draws its arrivals from its generator, and each of
+its slots draws its gains from its own, keyed (master_seed, point index,
+block index, slot + 1), so every scheme sees the same placements. A slot
+draws its gains strongest first from exponential spacings and only as far as
+admission reads: admission stops at the first device that does not fit, or,
+for FDMA and TDMA, once every unread device would fit at the cell-edge
+demand. NOMA may also stop inside a chunk it has drawn but not yet scaled,
+once one of its devices proves that no unread one lowers the count. A
+random-access slot (_random_access) draws its served count first, and its
+arrivals only for a caller that reads them.
 """
 
 from __future__ import annotations
@@ -178,21 +179,16 @@ def _random_access(design: un.UncoordinatedDesign, params: SystemParams, offered
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-                master_seed: int, point_index: int, trials: int, blocks: range, rngs=None):
+                master_seed: int, point_index: int, trials: int, blocks: range,
+                rngs, slots):
     """Per block: its served counts and a function that returns its arrivals,
-    drawn from the block's (master_seed, point_index, block) generator: the
-    next of ``rngs``, or of the blocks' own trial_rngs. A coordinated slot
-    draws its gains from (master_seed, point_index, block, slot + 1): a key
-    padded with a zero is the block's own (trial_rng)."""
-    if rngs is None:
-        rngs = trial_rngs((master_seed, point_index, block) for block in blocks)
+    drawn from the block's generator, the next of ``rngs``. A coordinated
+    slot draws its gains from the next of ``slots`` (see _streams)."""
     if config.family == UNCOORDINATED:
         draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
     else:
-        def draw(rng, size):   # ``block`` is the loop's, below
+        def draw(rng, size):
             arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
-            slots = trial_rngs([(master_seed, point_index, block, slot + 1)
-                                for slot in range(size)])
             return ([run_trial(config, params, int(n), slot) for n, slot in zip(arrivals, slots)],
                     lambda: arrivals)
     for block in blocks:
@@ -221,8 +217,9 @@ def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficM
     _check_load(traffic, params)
     if config.family == UNCOORDINATED and config.design is None:
         raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
-    served, arrivals = zip(*_run_blocks(config, params, traffic, master_seed, point_index,
-                                        trials, range(-(-trials // BLOCK_TRIALS))))
+    run = partial(_run_blocks, config, params, traffic, master_seed, point_index, trials)
+    blocks = range(-(-trials // BLOCK_TRIALS))
+    served, arrivals = zip(*run(blocks, *_streams([run], blocks)))
     return TrialCounts(np.concatenate([draw() for draw in arrivals]), np.concatenate(served))
 
 
@@ -246,12 +243,23 @@ def _checked_grid(lambda_grid) -> list[float]:
     return grid
 
 
+def _streams(runs: list[partial], share: range):
+    """The generators of a share of blocks at every run's point (a run:
+    _run_blocks bound up to its trials), in run order: each block's, keyed
+    (master_seed, point_index, block), then each coordinated slot's, keyed
+    (master_seed, point_index, block, slot + 1), as a key padded with a zero
+    is the block's own (trial_rng). Each stream's keys are hashed together."""
+    return (trial_rngs((*run.args[3:5], block) for run in runs for block in share),
+            trial_rngs((*run.args[3:5], block, slot + 1) for run in runs
+                       if run.args[0].family != UNCOORDINATED for block in share
+                       for slot in range(min(BLOCK_TRIALS, run.args[5] - block * BLOCK_TRIALS))))
+
+
 def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
-    """Served counts of one share of blocks at every point (a run: _run_blocks
-    bound up to its trials); no arrivals are drawn. Every block's key is
-    hashed in one pass."""
-    rngs = trial_rngs((*run.args[3:5], block) for run in runs for block in share)
-    return [np.concatenate([served for served, _ in run(share, rngs)]) for run in runs]
+    """Served counts of one share of blocks at every point; no arrivals are
+    drawn."""
+    rngs, slots = _streams(runs, share)
+    return [np.concatenate([served for served, _ in run(share, rngs, slots)]) for run in runs]
 
 
 def _usable_cpus() -> int:

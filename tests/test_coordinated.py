@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from ma_bench import (DeviceSet, Infeasible, SchemeConfig, StrongestFirst,
                       SystemParams, TrafficModel, fdma_admitted_count, fdma_kmax,
                       fdma_min_bandwidth, make_device_set, noma_admitted_count,
-                      noma_kmax, noma_power_allocation, run_trial,
+                      noma_kmax, noma_power_allocation, run_trial, simulate_point,
                       tdma_admitted_count, tdma_kmax, tdma_min_time, trial_rng)
 from ma_bench import coordinated
 from ma_bench.coordinated import min_bandwidth_array
+from ma_bench.model import FIRST_CHUNK
 
 
 def residual(w, gain, params):
@@ -32,9 +35,9 @@ def delivered(width, gain, params):
 
 
 class Chunked:
-    """Given gains, strongest first, served in chunks split at ``cuts``, the
-    way a StrongestFirst serves the gains it draws; ``served`` counts the
-    chunks handed out."""
+    """Given gains, strongest first, read the way a StrongestFirst reads the
+    gains it draws: no read crosses one of the ``cuts``, the ends of its
+    chunks. ``served`` counts the reads."""
 
     def __init__(self, gains, cuts=()):
         self.gains, self.cuts = gains, sorted(set(cuts))
@@ -43,20 +46,31 @@ class Chunked:
     def __len__(self):
         return self.gains.size
 
-    def _split(self, values):
-        for chunk in np.split(values, self.cuts):
-            if chunk.size:
-                self.served += 1
-                yield chunk
+    def _values(self, log2):
+        return np.log2(self.gains) if log2 else self.gains
 
-    def gain_chunks(self):
-        return self._split(self.gains)
+    def reader(self, log2=False):
+        values, done = self._values(log2), 0
+        ends = [cut for cut in self.cuts if 0 < cut < values.size] + [values.size]
 
-    def log2_gain_chunks(self):
-        return self._split(np.log2(self.gains))
+        def read(count):
+            nonlocal done
+            start, done = done, min(done + count, next(end for end in ends if end > done))
+            self.served += 1
+            return values[start:done]
+        return read
 
     def tail_log2_gain(self, last):
         return float(np.log2(self.gains[last - 1]))
+
+
+def read_whole(source, log2=False):
+    """Every gain of a source (log2 gains with ``log2``), in order, as
+    FIRST_CHUNK reads of its reader return them."""
+    read, parts = source.reader(log2), [np.empty(0)]
+    while sum(part.size for part in parts) < len(source):
+        parts.append(read(FIRST_CHUNK).copy())
+    return np.concatenate(parts)
 
 
 def running_minimum_count(gains, params):
@@ -482,8 +496,7 @@ def test_admitted_counts_equal_the_sequential_sum(case):
 def test_certified_counts_and_draws_equal_the_exact_kernel(case, seed, enforce):
     # up to 20,000 devices: four chunks, ten slices
     n, params = case
-    gains = np.concatenate([np.empty(0), *StrongestFirst(
-        n, params.pathloss_exp, trial_rng(seed)).gain_chunks()])
+    gains = make_device_set(n, params, trial_rng(seed)).gains
     for count, budget, minimum, demand in GREEDY:
         expected = sequential_count(gains, params, getattr(params, budget),
                                     getattr(params, minimum) if enforce else 0.0, demand)
@@ -508,6 +521,112 @@ def test_library_admits_what_a_slot_on_the_same_substream_admits(n, params, seed
         expected = run_trial(config, params, n, trial_rng(seed, 1, 2))
         got = kmax(devices, params) if kmax is noma_kmax else kmax(devices, params, enforce)
         assert got.admitted == expected, (scheme, n, params, seed, enforce)
+
+
+def fixed_slice_scan(n, read, kept, params, per_device, limit, minimum, edge, slack):
+    """coordinated._scan as it stood before its reads were sized, frozen:
+    every read asks for FIRST_CHUNK devices and a slice is summed with
+    ndarray.sum. The exact scan replays the slices the certified one kept
+    (and keeps them again, which no later scan reads)."""
+    hi = 1.0 + slack
+    fits, misses = limit / hi, limit / (1.0 - slack)
+    parts = itertools.chain(list(kept), (read(FIRST_CHUNK) for _ in itertools.count()))
+    total, done = 0.0, 0
+    while done < n:
+        if coordinated._edge_admits_the_rest(math.nextafter(total * hi, math.inf), n - done,
+                                             edge, limit):
+            return n
+        kept.append(next(parts))
+        demand = per_device(kept[-1], params)
+        if minimum > 0.0:
+            demand = np.maximum(demand, minimum)
+        after = total + demand.sum() if slack else math.inf
+        if after > fits:
+            demand[0] += total
+            demand.cumsum(out=demand)
+            fit = int(demand.searchsorted(fits, side="right"))
+            if fit < demand.size:
+                return done + fit if demand[fit] > misses else None
+            after = float(demand[-1])
+        total, done = after, done + demand.size
+    return n
+
+
+def strongest_first_twins(n, pathloss_exp, seed):
+    """Two StrongestFirst sources on one seed, and their generators."""
+    rngs = [trial_rng(seed) for _ in range(2)]
+    return [StrongestFirst(n, pathloss_exp, rng) for rng in rngs], rngs
+
+
+def chunked_twins(gains, cuts):
+    """Two Chunked sources of ``gains`` cut at ``cuts`` (no generators)."""
+    return [Chunked(gains, cuts) for _ in range(2)], []
+
+
+# n at chunk ends (2048, 6144, 14336) and around them
+CHUNK_EDGES = [0, 1, 2047, 2048, 2049, 6143, 6144, 6145, 14335, 14336, 14337]
+
+
+@st.composite
+def sized_scan_cases(draw):
+    """A parameter set, whether minima are enforced and a function that
+    makes twin sources of the same gains, up to 24,000 of them:
+    - StrongestFirst on one seed, under slot_parameters or where gains
+      overflow to inf (zero demands) beside devices too weak for a finite
+      share or width (inf demands);
+    - Chunked at arbitrary cuts, with gains 1 + e, e log-uniform in
+      [1e-16, 1e-11], and the payload of a cell-edge device's capacity
+      limit, so widths come from bracket walks or are inf;
+    - Chunked at arbitrary cuts, cell-edge devices padded so that their sum
+      lands within a few ulps of the budget (padded_cell_edge_cases): the
+      enclosure cannot decide, and the exact scan replays the reads.
+    """
+    n = draw(st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(0, 24_000)))
+    cuts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=8))
+    enforce, arm = draw(st.booleans()), draw(st.sampled_from(["drawn", "walks", "padded"]))
+    if arm == "drawn":
+        n, params = draw(st.one_of(slot_parameters(24_000), st.tuples(st.just(n), st.sampled_from([
+            SystemParams(), SystemParams(pathloss_exp=40.0), SystemParams(payload_bits=1.5e6),
+            SystemParams(pathloss_exp=40.0, ref_snr=1e-320)]))))
+        return params, enforce, functools.partial(
+            strongest_first_twins, n, params.pathloss_exp, draw(st.integers(0, 2 ** 32 - 1)))
+    if arm == "walks":
+        ref_snr = 10.0 ** draw(st.floats(-15.0, -12.0))
+        params = SystemParams(ref_snr=ref_snr, payload_bits=1e6 * ref_snr / math.log(2.0))
+        e = np.sort(10.0 ** trial_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-16.0, -11.0, n))
+        return params, enforce, functools.partial(chunked_twins, 1.0 + e[::-1], cuts)
+    _, budget, minimum, _ = draw(st.sampled_from(GREEDY))
+    params = draw(st.sampled_from(padded_cell_edge_cases(budget, minimum, max(n, 1), SystemParams(
+        payload_bits=100.0))))
+    return params, True, functools.partial(chunked_twins, np.ones(n), cuts)
+
+
+@settings(max_examples=200)
+@given(sized_scan_cases())
+def test_sized_reads_keep_the_fixed_slice_count_and_draws(case):
+    # a read's size is only a heuristic: the scan that sizes its reads from
+    # the last demand admits what the fixed-slice scan admits, and its
+    # StrongestFirst leaves its generator in the same state
+    params, enforce, twins = case
+    for count, _, _, _ in GREEDY:
+        (sized, fixed), rngs = twins()
+        with unittest.mock.patch.object(coordinated, "_scan", fixed_slice_scan):
+            expected = count(fixed, params, enforce)
+        assert count(sized, params, enforce) == expected
+        if rngs:
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_tdma_computes_few_demands_past_the_budget_crossing(params, monkeypatch):
+    # A read is sized to end near the crossing, so few demands past device
+    # count + 1 are computed; fixed FIRST_CHUNK reads computed ~1,700 a slot.
+    computed, shares = [], coordinated._shares
+    monkeypatch.setattr(coordinated, "_shares",
+                        lambda gains, p: computed.append(gains.size) or shares(gains, p))
+    slots = simulate_point(SchemeConfig("coordinated", "tdma"), params, TrafficModel(10_000.0),
+                           7, 0, 64)
+    assert (slots.served < slots.arrivals).all()
+    assert (sum(computed) - (slots.served + 1).sum()) / 64 < 128
 
 
 def record_certified(monkeypatch):
@@ -644,7 +763,7 @@ def test_cell_edge_bound_keeps_every_draw(count, payload, arrivals, monkeypatch)
                      for _ in range(2))
     assert count(devices, params) == arrivals
     assert sum(solved) < arrivals
-    gains = np.concatenate(list(twin.gain_chunks()))
+    gains = read_whole(twin)
     _, budget, _, demand = next(case for case in GREEDY if case[0] is count)
     assert sequential_count(gains, params, getattr(params, budget), 0.0, demand) == arrivals
 
@@ -739,8 +858,7 @@ def test_noma_closed_form_on_drawn_gains():
     # heavy load (spectral load 1) and the default; drawn strongest first
     for params in (SystemParams(), SystemParams(payload_bits=1e6, ref_snr=50.0)):
         for seed in range(20):
-            gains = np.concatenate(list(StrongestFirst(
-                20_000, params.pathloss_exp, trial_rng(seed, 13)).gain_chunks()))
+            gains = make_device_set(20_000, params, trial_rng(seed, 13)).gains
             assert noma_admitted_count(DeviceSet(gains), params) \
                 == running_minimum_count(gains, params)
 
@@ -752,9 +870,9 @@ def slice_by_slice_noma_count(devices, params):
     offset = math.log2(params.ref_snr / params.snr_floor)
     edge = offset / load
     bound, done = float(len(devices)), 0
-    chunks = iter(devices.log2_gain_chunks())
+    read = devices.reader(log2=True)
     while bound > max(done, np.floor(done + 1.0 + edge)):
-        stack = next(chunks)
+        stack = read(FIRST_CHUNK)
         stack += offset
         stack /= load
         if edge < -1.0:
@@ -775,9 +893,7 @@ def slice_by_slice_noma_count(devices, params):
                         SystemParams(payload_bits=3000.0, ref_snr=5.0)]),
        st.integers(0, 2 ** 32 - 1))
 def test_noma_certificate_keeps_the_count_and_the_draws(n, params, seed):
-    log2_gains = np.concatenate([np.empty(0), *(
-        chunk.copy() for chunk in StrongestFirst(
-            n, params.pathloss_exp, trial_rng(seed)).log2_gain_chunks())])
+    log2_gains = read_whole(StrongestFirst(n, params.pathloss_exp, trial_rng(seed)), log2=True)
     rng, frozen = trial_rng(seed), trial_rng(seed)
     count = noma_admitted_count(StrongestFirst(n, params.pathloss_exp, rng), params)
     assert count == log2_running_minimum_count(log2_gains, params)
@@ -795,14 +911,17 @@ def test_noma_admits_exactly_n_devices_past_2_53(n):
 
 
 class SlicesRead(StrongestFirst):
-    """A StrongestFirst that counts the slices a reader takes."""
+    """A StrongestFirst that counts the slices its readers take."""
 
     read = 0
 
-    def log2_gain_chunks(self):
-        for stack in super().log2_gain_chunks():
+    def reader(self, log2=False):
+        read = super().reader(log2)
+
+        def counted(count):
             self.read += 1
-            yield stack
+            return read(count)
+        return counted
 
 
 @pytest.mark.parametrize("n, most", [(12_000, 0), (15_000, 1), (20_000, 3)])
@@ -822,8 +941,8 @@ class Log2Errs(Chunked):
         super().__init__(gains)
         self.log2_gains = np.log2(gains) * (1.0 + errors)
 
-    def log2_gain_chunks(self):
-        return self._split(self.log2_gains.copy())
+    def _values(self, log2):
+        return self.log2_gains.copy() if log2 else self.gains
 
     def tail_log2_gain(self, last):
         return float(self.log2_gains[last - 1])
@@ -875,9 +994,9 @@ def test_zero_spacing_reaches_no_kernel_as_inf_or_nan(params):
         return StrongestFirst(count, params.pathloss_exp, ZeroFirstSpacing(trial_rng(6, 0)))
 
     # v_(1) = 0 is held at 2**-53, the nearest placement 1 - random() gives
-    gains = next(devices(3000).gain_chunks())
+    gains = devices(3000).reader()(FIRST_CHUNK)
     assert gains[0] == 2.0 ** 106 and np.all(np.isfinite(gains))
-    assert next(devices(3000).log2_gain_chunks())[0] == 106.0
+    assert devices(3000).reader(log2=True)(FIRST_CHUNK)[0] == 106.0
     # the drawn chunk's demands (all of it fits at the default parameters)
     for kmax in (fdma_kmax, tdma_kmax):
         alloc = kmax(DeviceSet(gains), params)

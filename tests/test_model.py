@@ -10,6 +10,7 @@ from ma_bench import (DeviceSet, StrongestFirst, SystemParams, TrafficModel,
                       channel_gain, make_device_set, sample_arrivals,
                       sample_placement, trial_rng)
 from ma_bench import model
+from ma_bench.model import FIRST_CHUNK
 
 
 def test_channel_gain_examples():
@@ -63,9 +64,8 @@ def test_strongest_first_has_the_law_of_sorted_placement(params):
     n, reps = 6200, 400
     ranks = np.array([1, 2, 1000, 2047, 2048, 2049, 2050, 6143, 6144, 6145, 6199, 6200])
     half = 0.5 * params.pathloss_exp
-    drawn = np.array([np.concatenate(list(StrongestFirst(
-        n, params.pathloss_exp, trial_rng(11, rep)).gain_chunks()))[ranks - 1]
-        for rep in range(reps)]) ** (-1.0 / half)
+    drawn = np.array([make_device_set(n, params, trial_rng(11, rep)).gains[ranks - 1]
+                      for rep in range(reps)]) ** (-1.0 / half)
     # the oracle: the ascending v of n i.i.d. uniform placements
     placed = np.array([np.sort(1.0 - trial_rng(12, rep).random(n))[ranks - 1]
                        for rep in range(reps)])
@@ -78,35 +78,58 @@ def test_strongest_first_has_the_law_of_sorted_placement(params):
         assert two_sample_ks(drawn[:, column], placed[:, column]) < critical
 
 
+def all_reads(source, log2=False, size=FIRST_CHUNK):
+    """Every read of a source's reader (log2 gains with ``log2``), ``size``
+    devices asked for at a time, until the source is read."""
+    read, parts = source.reader(log2), []
+    while sum(part.size for part in parts) < len(source):
+        parts.append(read(size).copy())
+    return parts
+
+
 def test_strongest_first_chunks_double_and_descend(params):
     source = StrongestFirst(20_000, params.pathloss_exp, trial_rng(3, 1))
-    chunks = list(source.gain_chunks())
+    chunks = all_reads(source)
     assert len(source) == 20_000
-    # chunks of 2048, 4096, 8192 and the 5664 left, read in slices of 2048
+    # chunks of 2048, 4096, 8192 and the 5664 left, read 2048 at a time
     assert [c.size for c in chunks] == [2048] * 9 + [20_000 - 18_432]
-    # a chunk is drawn whole when its first slice is read, and only then
+    # a read never crosses a chunk's end, whatever it asks for, and any
+    # sizes read the same gains
+    read = StrongestFirst(20_000, params.pathloss_exp, trial_rng(3, 1)).reader()
+    sized = [read(count) for count in (5000, 5000, 1, 99, 10 ** 6, 10 ** 6)]
+    assert [part.size for part in sized] == [2048, 4096, 1, 99, 8092, 5664]
+    assert np.array_equal(np.concatenate(sized), np.concatenate(chunks))
+    # a chunk is drawn whole when its first device is read, and only then
     rng, reference = trial_rng(3, 1), trial_rng(3, 1)
-    slices = StrongestFirst(20_000, params.pathloss_exp, rng).gain_chunks()
+    read = StrongestFirst(20_000, params.pathloss_exp, rng).reader()
     for size, drawn in ((2048, 2048), (4096, 6144)):
-        next(slices)
+        read(1)
         reference.standard_exponential(size)
         reference.standard_gamma(20_000 + 1 - drawn)
-    next(slices)
-    assert rng.bit_generator.state == reference.bit_generator.state
+        read(size - 1)   # the rest of the chunk
+        assert rng.bit_generator.state == reference.bit_generator.state
     gains = np.concatenate(chunks)
     assert np.all(np.diff(gains) <= 0) and gains[-1] >= 1.0
-    log2_gains = np.concatenate(list(StrongestFirst(
-        20_000, params.pathloss_exp, trial_rng(3, 1)).log2_gain_chunks()))
+    log2_gains = np.concatenate(all_reads(StrongestFirst(
+        20_000, params.pathloss_exp, trial_rng(3, 1)), log2=True, size=3000))
     assert np.allclose(log2_gains, np.log2(gains), rtol=1e-12, atol=1e-12)
-    assert list(StrongestFirst(0, 4.0, trial_rng(3, 1)).gain_chunks()) == []
+    assert all_reads(StrongestFirst(0, 4.0, trial_rng(3, 1))) == []
+    # once every device is read, a read is empty and draws nothing
+    for n in (0, 3):
+        rng = trial_rng(3, 1)
+        read = StrongestFirst(n, 4.0, rng).reader()
+        assert read(5).size == n
+        state = rng.bit_generator.state
+        assert read(5).size == 0 and rng.bit_generator.state == state
     with pytest.raises(ValueError):
         StrongestFirst(-1, 4.0, trial_rng(3, 1))
 
 
 def test_strongest_first_draws_only_what_is_read():
-    # one chunk read: 2048 exponentials and one gamma, as a fresh stream draws
+    # one device read: its chunk, 2048 exponentials and one gamma, as a
+    # fresh stream draws
     rng, reference = trial_rng(5, 2), trial_rng(5, 2)
-    next(iter(StrongestFirst(10 ** 9, 4.0, rng).gain_chunks()))
+    assert StrongestFirst(10 ** 9, 4.0, rng).reader()(1).size == 1
     reference.standard_exponential(2048)
     reference.standard_gamma(10 ** 9 + 1 - 2048)
     assert rng.random() == reference.random()
@@ -119,16 +142,16 @@ def test_gain_overflow_is_decided_once_per_source(monkeypatch):
     assert not StrongestFirst(1, below, trial_rng(6, 0))._may_overflow
     assert StrongestFirst(1, 2046 / 53, trial_rng(6, 0))._may_overflow
     # past it gains overflow to inf silently (a warning is an error here) ...
-    placements = np.concatenate([v.copy() for v in StrongestFirst(
-        3000, 1000.0, trial_rng(6, 0))._placements()])
-    gains = np.concatenate(list(StrongestFirst(3000, 1000.0, trial_rng(6, 0)).gain_chunks()))
+    # (a path-loss exponent of -2 reads each placement v as its own gain v**1)
+    placements = np.concatenate(all_reads(StrongestFirst(3000, -2.0, trial_rng(6, 0))))
+    gains = np.concatenate(all_reads(StrongestFirst(3000, 1000.0, trial_rng(6, 0))))
     with np.errstate(over="ignore"):
         assert np.array_equal(gains, np.power(placements, -500.0))
     assert np.isinf(gains).any() and np.isfinite(gains).any()
     # ... and below it no slice enters an errstate
     monkeypatch.setattr(np, "errstate", None)
-    assert np.isfinite(np.concatenate(list(StrongestFirst(
-        20_000, below, trial_rng(6, 0)).gain_chunks()))).all()
+    assert np.isfinite(np.concatenate(all_reads(StrongestFirst(
+        20_000, below, trial_rng(6, 0))))).all()
 
 
 def test_sample_arrivals_zero_rate():

@@ -275,12 +275,12 @@ def test_monte_carlo_sweep_seeds_each_share_once_and_makes_no_seed_sequence(para
     assert len(rows) == 4
     assert made == []
     # one share: every block of every point, config by config, in one pass;
-    # then each coordinated block's slots (64, 64 and 1), in one pass a block
+    # then every coordinated slot of the share (64, 64 and 1 a point), in one
     sizes = (BLOCK_TRIALS, BLOCK_TRIALS, 1)
-    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)]] + [
-        [(SEED, point, block, slot + 1) for slot in range(size)]
-        for point in (0, 1) for block, size in enumerate(sizes)]
-    assert hashed == [12, *sizes, *sizes]
+    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)],
+                      [(SEED, point, block, slot + 1) for point in (0, 1)
+                       for block, size in enumerate(sizes) for slot in range(size)]]
+    assert hashed == [12, 2 * sum(sizes)]
     np.random.SeedSequence(SEED)   # the count sees numpy's own seeding
     assert made == [(SEED,)]
 
