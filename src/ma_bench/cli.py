@@ -32,7 +32,7 @@ from . import sim
 from . import uncoordinated as un
 
 SCHEME_TOKENS = tuple(f"{family}-{scheme}" for family in FAMILIES for scheme in SCHEMES)
-MODES = ("analytic", "montecarlo", "both")
+MODES = sim.MODES
 SEED_ENV_VAR = "MA_BENCH_SEED"
 DEFAULT_SEED = 42
 

@@ -376,11 +376,11 @@ def trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent, reproducible generator for one substream.
 
     Substreams are keyed on (master_seed, *indices), e.g. (master_seed,
-    point, block) in the Monte Carlo engine, so they can run in any order or
-    concurrently and still draw identical values. The generator is exactly
-    Generator(PCG64(SeedSequence(key))), with SeedSequence's hash run on
-    numpy arrays (_seed_words), over many keys at once in trial_rngs. The
-    hash pads a key to its pool of 4 words with zeros, so trailing zero
+    point, block, 0) per block in the Monte Carlo engine (sim._keys), so they
+    can run in any order or concurrently and still draw identical values.
+    The generator is exactly Generator(PCG64(SeedSequence(key))), with the
+    hash run on numpy arrays (_seed_words), many keys at once in trial_rngs.
+    It pads a key to its pool of 4 words with zeros, so trailing zero
     indices leave the stream unchanged up to 4 words, but not past them.
     SeedSequence would split a key of 2**32 or more into 32-bit words, which
     would alias another key tuple, so every key must lie in [0, 2**32).

@@ -4,19 +4,18 @@ Seeded Monte Carlo engine.
 Every trial realizes one slot: Poisson arrivals, then the scheme's admission
 or random-access rules. Trials run in blocks of BLOCK_TRIALS, each on the
 substream of (master_seed, point index, block index), so a sweep is
-bit-identical for any worker count. A share of a sweep hashes the keys of
-all its points' blocks in one vectorised stream (model.trial_rngs), those of
-all its coordinated slots in another, and makes each generator as it is
-used. A coordinated block draws its arrivals from its generator, and each of
-its slots draws its gains from its own, keyed (master_seed, point index,
-block index, slot + 1), so every scheme sees the same placements. A slot
-draws its gains strongest first from exponential spacings and only as far as
-admission reads: admission stops at the first device that does not fit, or,
-for FDMA and TDMA, once every unread device would fit at the cell-edge
-demand. NOMA may also stop inside a chunk it has drawn but not yet scaled,
-once one of its devices proves that no unread one lowers the count. A
-random-access slot (_random_access) draws its served count first, and its
-arrivals only for a caller that reads them.
+bit-identical for any worker count. A coordinated block draws its arrivals
+from its generator, and each of its slots draws its gains from its own,
+keyed (master_seed, point index, block index, slot + 1), so every scheme
+sees the same placements. A share of a sweep hashes every key it reads in
+one vectorised stream (_keys, model.trial_rngs) and makes each generator as
+it is used. A slot draws its gains strongest first from exponential spacings
+and only as far as admission reads: admission stops at the first device that
+does not fit, or, for FDMA and TDMA, once every unread device would fit at
+the cell-edge demand. NOMA may also stop inside a chunk it has drawn but not
+yet scaled, once one of its devices proves that no unread one lowers the
+count. A random-access slot (_random_access) draws its served count first,
+and its arrivals only for a caller that reads them.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ MAX_TRIALS = BLOCK_TRIALS << 32
 # Largest mean numpy's Poisson sampler draws (int64 max less ten standard
 # deviations): a larger arrival_rate * slot_s cannot be simulated.
 POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+MODES = ("analytic", "montecarlo", "both")   # a sweep's rows: closed form, simulated, or both
 
 
 @dataclass(frozen=True)
@@ -179,17 +179,16 @@ def _random_access(design: un.UncoordinatedDesign, params: SystemParams, offered
 
 
 def _run_blocks(config: SchemeConfig, params: SystemParams, traffic: TrafficModel,
-                master_seed: int, point_index: int, trials: int, blocks: range,
-                rngs, slots):
+                master_seed: int, point_index: int, trials: int, blocks: range, rngs):
     """Per block: its served counts and a function that returns its arrivals,
-    drawn from the block's generator, the next of ``rngs``. A coordinated
-    slot draws its gains from the next of ``slots`` (see _streams)."""
+    drawn from the block's generator, the next of ``rngs`` (in _keys order);
+    then each coordinated slot draws its gains from the next one."""
     if config.family == UNCOORDINATED:
         draw = _random_access(config.design, params, traffic.arrival_rate * params.slot_s)
     else:
         def draw(rng, size):
             arrivals = sample_arrivals(traffic, params.slot_s, rng, size=size)
-            return ([run_trial(config, params, int(n), slot) for n, slot in zip(arrivals, slots)],
+            return ([run_trial(config, params, int(n), slot) for n, slot in zip(arrivals, rngs)],
                     lambda: arrivals)
     for block in blocks:
         yield draw(next(rngs), min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
@@ -219,7 +218,7 @@ def simulate_point(config: SchemeConfig, params: SystemParams, traffic: TrafficM
         raise ValueError("uncoordinated trials need a concrete design (resolve_design)")
     run = partial(_run_blocks, config, params, traffic, master_seed, point_index, trials)
     blocks = range(-(-trials // BLOCK_TRIALS))
-    served, arrivals = zip(*run(blocks, *_streams([run], blocks)))
+    served, arrivals = zip(*run(blocks, trial_rngs(_keys([run], blocks))))
     return TrialCounts(np.concatenate([draw() for draw in arrivals]), np.concatenate(served))
 
 
@@ -243,23 +242,22 @@ def _checked_grid(lambda_grid) -> list[float]:
     return grid
 
 
-def _streams(runs: list[partial], share: range):
-    """The generators of a share of blocks at every run's point (a run:
-    _run_blocks bound up to its trials), in run order: each block's, keyed
-    (master_seed, point_index, block), then each coordinated slot's, keyed
-    (master_seed, point_index, block, slot + 1), as a key padded with a zero
-    is the block's own (trial_rng). Each stream's keys are hashed together."""
-    return (trial_rngs((*run.args[3:5], block) for run in runs for block in share),
-            trial_rngs((*run.args[3:5], block, slot + 1) for run in runs
-                       if run.args[0].family != UNCOORDINATED for block in share
-                       for slot in range(min(BLOCK_TRIALS, run.args[5] - block * BLOCK_TRIALS))))
+def _keys(runs: list[partial], share: range):
+    """The keys _run_blocks reads, in order, for ``share`` at each run's point
+    (a run binds it up to its trials): per block, its own key padded with a
+    zero as trial_rng pads it, then each coordinated slot's, (..., slot + 1)."""
+    for config, _, _, master_seed, point_index, trials in (run.args for run in runs):
+        for block in share:
+            yield master_seed, point_index, block, 0
+            if config.family != UNCOORDINATED:
+                for slot in range(1, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS) + 1):
+                    yield master_seed, point_index, block, slot
 
 
 def _run_share(runs: list[partial], share: range) -> list[np.ndarray]:
-    """Served counts of one share of blocks at every point; no arrivals are
-    drawn."""
-    rngs, slots = _streams(runs, share)
-    return [np.concatenate([served for served, _ in run(share, rngs, slots)]) for run in runs]
+    """Served counts of one share of blocks at every point (no arrivals drawn)."""
+    rngs = trial_rngs(_keys(runs, share))
+    return [np.concatenate([served for served, _ in run(share, rngs)]) for run in runs]
 
 
 def _usable_cpus() -> int:
@@ -323,8 +321,8 @@ def sweep(configs, params: SystemParams, lambda_grid, trials: int, master_seed: 
     uncoordinated; tag suffixed ``-analytic``, trials = 1), then its Monte
     Carlo rows (mode ``montecarlo`` or ``both``).
 
-    The grid is checked first, then trials and workers if any row is
-    simulated; then each (config, rate) design is resolved once, all before
+    The mode and grid are checked first, then trials and workers if any row
+    is simulated; then each (config, rate) design is resolved once, all before
     any load is checked or process forked. Substreams are keyed on
     (master_seed, rate index, block index), so the rows are bit-identical
     for any worker count. Each point's blocks are split into at most
@@ -334,6 +332,8 @@ def sweep(configs, params: SystemParams, lambda_grid, trials: int, master_seed: 
     pipe. A share's exception is raised here; a forked process that dies
     raises ChildProcessError. No forked process outlives the call.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
     grid = _checked_grid(lambda_grid)
     simulate = mode != "analytic"
     if simulate:

@@ -174,8 +174,15 @@ def test_bad_arrival_rate_is_one_error_line(command, value, capsys):
     ["cap", "--slot-s", "10", "--arrival-rate", "1e308"],         # noma_design fails
     ["uncoordinated", "--arrival-rate", "1e300", "--trials", "3"],  # Poisson draw fails
     ["coordinated", "--arrival-rate", "1e19", "--trials", "1"],
+    pytest.param(["coordinated", "--config", "maybe.cfg"], id="bad-boolean"),
+    pytest.param(["coordinated", "--schemes", "uncoordinated-fdma"], id="coordinated-schemes"),
+    pytest.param(["uncoordinated", "--schemes", "coordinated-noma"], id="uncoordinated-schemes"),
+    pytest.param(["cap", "--config", "missing.cfg"], id="unreadable-config"),
 ], ids=lambda argv: argv[0])
-def test_failing_single_rate_command_prints_nothing_on_stdout(argv, capsys):
+def test_failing_single_rate_command_prints_nothing_on_stdout(argv, tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "maybe.cfg").write_text("enforce_minimum = maybe\n")
     status, out, err = run(argv, capsys)
     assert status == 1
     assert out == ""

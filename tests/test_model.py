@@ -135,6 +135,22 @@ def test_strongest_first_draws_only_what_is_read():
     assert rng.random() == reference.random()
 
 
+def test_tail_bound_in_an_unscaled_chunk_is_below_the_mapped_log2_gain():
+    # The first chunk read, tail_log2_gain draws the second and bounds device
+    # ``last`` in it before the chunk is scaled; the reader then scales and
+    # maps that chunk. Without its pad of 1 + (k + 8) 2**-50, about a third
+    # of these bounds exceed the log2 gain read for the same device.
+    pick = trial_rng(29, 0)
+    for instance in range(200):
+        n = int(pick.integers(FIRST_CHUNK + 1, 40_001))
+        last = int(pick.integers(FIRST_CHUNK + 1, min(n, 3 * FIRST_CHUNK) + 1))
+        source = StrongestFirst(n, 4.0, trial_rng(29, 1, instance))
+        read = source.reader(log2=True)
+        read(FIRST_CHUNK)
+        bound = source.tail_log2_gain(last)
+        assert bound <= read(2 * FIRST_CHUNK)[last - FIRST_CHUNK - 1], (n, last)
+
+
 def test_gain_overflow_is_decided_once_per_source(monkeypatch):
     # below 2046 / 53 even the strongest gain a placement can have is finite
     below = np.nextafter(2046 / 53, 0.0)

@@ -274,13 +274,13 @@ def test_monte_carlo_sweep_seeds_each_share_once_and_makes_no_seed_sequence(para
                      mode="montecarlo")
     assert len(rows) == 4
     assert made == []
-    # one share: every block of every point, config by config, in one pass;
-    # then every coordinated slot of the share (64, 64 and 1 a point), in one
+    # one share, one pass: config by config and point by point, each block's key
+    # and then, if coordinated, each of its slots' (64, 64 and 1 a point)
     sizes = (BLOCK_TRIALS, BLOCK_TRIALS, 1)
-    assert seeded == [[(SEED, point, block) for point in (0, 1, 0, 1) for block in range(3)],
-                      [(SEED, point, block, slot + 1) for point in (0, 1)
-                       for block, size in enumerate(sizes) for slot in range(size)]]
-    assert hashed == [12, 2 * sum(sizes)]
+    assert seeded == [[(SEED, point, block, 0) for point in (0, 1) for block in range(3)]
+                      + [(SEED, point, block, slot) for point in (0, 1)
+                         for block, size in enumerate(sizes) for slot in range(size + 1)]]
+    assert hashed == [12 + 2 * sum(sizes)] == [270]
     np.random.SeedSequence(SEED)   # the count sees numpy's own seeding
     assert made == [(SEED,)]
 
@@ -319,8 +319,15 @@ def test_digest_falls_back_to_hashlib_without_the_built_in_hashes(fresh_modules)
         ("hashlib",)) == ["hashlib"]
 
 
-def test_sweep_validates_inputs(params):
+def test_sweep_validates_inputs(params, monkeypatch):
     config = SchemeConfig("uncoordinated", "fdma")
+    # an unknown mode is named before any design is solved: no row at all
+    monkeypatch.setattr(sim, "_design", lambda *args: pytest.fail("a design was solved"))
+    for mode in ("analytc", "", "Both"):
+        with pytest.raises(ValueError, match="^mode must be one of analytic, montecarlo, "
+                                             f"both, got {mode!r}$"):
+            sim.sweep([config], params, [100.0], 2, 1, mode=mode)
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         run_sweep(config, params, [], 10, SEED)
     with pytest.raises(ValueError):
