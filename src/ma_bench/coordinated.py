@@ -442,9 +442,10 @@ def noma_admitted_count(devices: DeviceSet | StrongestFirst, params: SystemParam
     far = floor(min(bound, bound - edge)) lowers the bound: past the bound,
     i - 1 >= bound; else i > bound - edge (a float difference rounds to no
     less than its floor below 2**53), and i + x_i >= i + edge rounds to at
-    least bound. The source's tail_log2_gain t bounds every unread log2
-    gain up to far but for the error of log2, so done + 1 + max(x(t'), -1)
-    >= bound, t' = fl(t (1 - 2**-43)), proves that none lowers it either.
+    least bound. The source's tail_log2_gain t (a StrongestFirst's: of its
+    exact placement V of device far) bounds every unread log2 gain up to
+    far but for the error of log2, so done + 1 + max(x(t'), -1) >= bound,
+    t' = fl(t (1 - 2**-43)), proves that none lowers it either.
     Proof: say np.log2 and math.log2 err by a relative e <= 2**-45 (128
     ulp; glibc and numpy's SIMD loops claim 4 at most), and u = 2**-53. Log2
     gains are >= 0, and 0 or normal. For gains g_i >= g, t = fl(log2 g):

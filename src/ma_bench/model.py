@@ -154,7 +154,7 @@ class DeviceSet:
 
 
 # Smallest squared distance a placement takes: that of 1 - random(), so a zero
-# spacing gives the strongest gain a placement can have rather than inf.
+# uniform gives the strongest gain a placement can have rather than inf.
 _NEAREST = 2.0 ** -53
 
 
@@ -162,20 +162,21 @@ class StrongestFirst:
     """Gains of ``count`` devices placed uniformly in the cell, drawn strongest
     first in chunks of FIRST_CHUNK, twice that, ... devices as a reader asks
     for them, so a reader that stops early never draws the rest. A chunk is
-    drawn when a read reaches it and scaled when it is first read; each read
+    drawn when a read reaches it and sorted when it is first read; each read
     maps to gains (or log2 gains) only the devices it returns. How much a
     read asks for changes neither the chunks nor their draws.
 
     The squared normalized distances v = (r/R)**2 are uniform on (0, 1], and
-    their order statistics are v_(i) = S_i / S_(n+1), S the running sums of
-    n + 1 standard exponentials (Devroye 1986, ch. V). A chunk of k after the
-    first ``done`` devices draws k exponentials and one Gamma(n + 1 - done - k)
-    for the rest of the sum, rescaled to the gap still left above v_(done) (a
-    Dirichlet split), so every prefix has exactly the law of the n uniform
-    placements sorted nearest first. Gains are v**(-pathloss_exp / 2), up to
-    rounding at most 2**(26.5 pathloss_exp) as v >= _NEAREST; from
-    pathloss_exp 2046 / 53 on, the strongest can overflow to inf, which the
-    kernels take as a device needing no resource.
+    given the nearest drawn, the m left are i.i.d. uniform above the last of
+    them, lo (0 before any; David & Nagaraja 2003, ch. 2). So a chunk of k <
+    m draws its top placement lo + (1 - lo) Beta(k, m - k + 1), the k-th
+    least of m uniforms, then k - 1 uniforms u below it (Devroye 1986, ch.
+    V); a last chunk, k = m, draws k uniforms under top = 1. Sorted, they
+    are placed at v = lo + (top - lo) u clamped to [_NEAREST, top], so every
+    prefix has exactly the law of the n uniform placements sorted nearest
+    first. Gains are v**(-pathloss_exp / 2), up to rounding at most
+    2**(26.5 pathloss_exp); from pathloss_exp 2046 / 53 on, the strongest can
+    overflow to inf, which the kernels take as a device needing no resource.
 
     Chunks draw from ``rng`` as they are read, so where ``rng`` ends depends
     on how far the reader read: read each instance once, and give each its
@@ -190,44 +191,47 @@ class StrongestFirst:
         self._may_overflow = 26.5 * pathloss_exp >= 1023   # decided once
         self._rng = rng
         self._drawn, self._size = 0, FIRST_CHUNK   # devices drawn, next chunk
-        # devices read, v_(i) below the newest chunk and the gap above it
-        self._read, self._below, self._gap = 0, 0.0, 1.0
-        self._chunk, self._rest = np.empty(0), None   # exponentials and rest; v once scaled
+        self._read, self._below = 0, 0.0   # devices read, the last one's placement
+        self._chunk, self._top = np.empty(0), None   # uniforms and top; v once sorted
 
     def __len__(self) -> int:
         return self.count
 
     def _draw(self):
-        """The next chunk's exponentials and rest Gamma, not yet scaled."""
+        """The next chunk: its top placement, then its uniforms, unsorted, 1 for top's."""
         size = min(self._size, self.count - self._drawn)
         self._drawn, self._size = self._drawn + size, 2 * size
-        self._chunk = self._rng.standard_exponential(size)
-        self._rest = self._rng.standard_gamma(self.count + 1 - self._drawn)
+        self._chunk, self._top = np.empty(size), 1.0
+        if self._drawn < self.count:   # the size-th least of the uniforms left
+            self._top = self._below + (1.0 - self._below) * self._rng.beta(
+                size, self.count - self._drawn + 1)
+            self._chunk[-1], size = 1.0, size - 1
+        self._rng.random(out=self._chunk[:size])
 
     def reader(self, log2: bool = False):
         """read(count): the gains (log2 gains with ``log2``) of the next
         ``count`` devices, fewer where the drawn chunk ends (a read never
         crosses a chunk), none once all are read. It draws the next chunk
-        when it reaches it, scales a chunk to the ascending v_(i) when it
-        first reads it, and maps only the part it returns, in place."""
+        when it reaches it, sorts and places a chunk when it first reads it,
+        and maps only the part it returns, in place."""
         def read(count: int) -> np.ndarray:
             if self._read == self._drawn < self.count:
                 self._draw()
             v = self._chunk
-            if self._rest is not None:
-                v.cumsum(out=v)
-                scale = self._gap / (v[-1] + self._rest)
-                v *= scale
+            if self._top is not None:
+                v.sort()
+                v *= self._top - self._below
                 v += self._below
-                self._below, self._gap, self._rest = v[-1], scale * self._rest, None
-                # v ascends, so only its ends can leave [_NEAREST, 1]
+                # v ascends, so only its ends can leave [_NEAREST, top]
+                if v[-1] > self._top:
+                    np.minimum(v, self._top, out=v)
                 if v[0] < _NEAREST:
                     np.maximum(v, _NEAREST, out=v)
-                if v[-1] > 1.0:
-                    np.minimum(v, 1.0, out=v)
+                self._top = None
             start = self._read - (self._drawn - v.size)
             part = v[start:start + count]
-            self._read += part.size
+            if part.size:   # keep the last placement read, as it is mapped below
+                self._read, self._below = self._read + part.size, part[-1]
             if log2:   # -(pathloss_exp / 2) * log2(v): no power taken
                 np.log2(part, out=part)
                 part *= -self._half_exp
@@ -240,29 +244,24 @@ class StrongestFirst:
         return read
 
     def tail_log2_gain(self, last: int) -> float | None:
-        """The log2 gain (as a log2 reader maps it) of a placement V no
-        nearer than any unread device up to device ``last`` (1-based), or
-        None past the chunk of the next unread device, drawn here if due.
-        Unread devices lie in the newest chunk: scaled, V = v_(last).
-        Unscaled, every float sum of its first j of k exponentials (the
-        cumsum C_j, a pairwise P_j) is within 1 +- g of the exact one, g =
-        (k - 1) u / (1 - (k - 1) u), u = 2**-53 (Higham 2002, sec. 4.2), so
-        fl(fl(C_j scale) + below), scale = fl(gap / fl(C_k + rest)), is at
-        most (P_j gap / D + below)(1 + g)**2 (1 + u)**4 / ((1 - g)**2 (1 - u))
-        for D = fl(P_k + rest): the factor 1 + (k + 8) 2**-50 covers that
-        and V's own four roundings for k < 2**40, and the clamps keep order."""
+        """The log2 gain (as a log2 reader maps it) of device ``last``'s
+        placement V (1-based, not below the devices read), or None past the
+        chunk of the next unread device, drawn here if due. V is the reader's
+        own, bitwise, so no nearer than any unread device up to ``last``: in
+        an unsorted chunk, np.partition finds its uniform to place."""
         if self._read == self._drawn < self.count:
             self._draw()
         if last > self._drawn:
             return None
         j = last - (self._drawn - self._chunk.size)   # 1-based, in the chunk
-        if self._rest is None:
+        if last == self._read:   # 0 before any device is read
+            v = max(self._below, _NEAREST)
+        elif self._top is None:
             v = self._chunk[j - 1]
         else:
-            head, tail = self._chunk[:j].sum(), self._chunk[j:].sum()
-            v = (head * self._gap / (head + tail + self._rest) + self._below) * (
-                1.0 + (self._chunk.size + 8) * 2.0 ** -50)
-            v = min(max(v, _NEAREST), 1.0)
+            self._chunk.partition(j - 1)
+            v = max(min(self._chunk[j - 1] * (self._top - self._below) + self._below,
+                        self._top), _NEAREST)
         return math.log2(v) * -self._half_exp
 
 

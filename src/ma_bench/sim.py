@@ -9,13 +9,13 @@ from its generator, and each of its slots draws its gains from its own,
 keyed (master_seed, point index, block index, slot + 1), so every scheme
 sees the same placements. A share of a sweep hashes every key it reads in
 one vectorised stream (_keys, model.trial_rngs) and makes each generator as
-it is used. A slot draws its gains strongest first from exponential spacings
-and only as far as admission reads: admission stops at the first device that
-does not fit, or, for FDMA and TDMA, once every unread device would fit at
-the cell-edge demand. NOMA may also stop inside a chunk it has drawn but not
-yet scaled, once one of its devices proves that no unread one lowers the
-count. A random-access slot (_random_access) draws its served count first,
-and its arrivals only for a caller that reads them.
+it is used. A slot draws its gains strongest first from sorted uniforms under
+a Beta boundary and only as far as admission reads: admission stops at the
+first device that does not fit, or, for FDMA and TDMA, once every unread
+device would fit at the cell-edge demand. NOMA may also stop inside a chunk
+it has drawn but not sorted, once one of its devices proves that no unread
+one lowers the count. A random-access slot (_random_access) draws its served
+count first, and its arrivals only for a caller that reads them.
 """
 
 from __future__ import annotations

@@ -789,10 +789,10 @@ def test_trials_past_the_substream_keys_are_one_error_line(argv, tmp_path, monke
 
 
 # sha256 of coordinated_digest()'s sweep, recorded when each coordinated slot
-# came to draw its placements from its own substream. After a deliberate
-# change, print it with
+# came to draw its placements, from its own substream, as sorted uniforms
+# under a Beta-drawn chunk top. After a deliberate change, print it with
 #   PYTHONPATH=src:tests python -c "import test_cli as t; print(t.coordinated_digest())"
-COORDINATED_GOLDEN = "b7a11eaeeab36da217cb9033a500ba58dd453dbaccd42fdb05ef587115b0bbd5"
+COORDINATED_GOLDEN = "8ea08de8becaff135a5abff3510a5ee87cab460629fe245c073971b98b55126a"
 
 
 def coordinated_digest():
@@ -813,15 +813,16 @@ def test_coordinated_sweep_bytes_are_pinned():
 UNCOORDINATED_SCHEMES = "uncoordinated-fdma,uncoordinated-tdma,uncoordinated-noma"
 # sha256 of 128-trial sweeps (two blocks, so workers=2 forks a process): the
 # coordinated ones recorded when each coordinated slot came to draw its
-# placements from its own substream, the uncoordinated ones when
-# random-access slots came to draw their served count first, from its
-# Binomial(N, mu e^-mu) law. After a deliberate change, print
-# every case's digest at --workers 1 and 2, as the test below computes it, with
+# placements, from its own substream, as sorted uniforms under a Beta-drawn
+# chunk top, the uncoordinated ones when random-access slots came to draw
+# their served count first, from its Binomial(N, mu e^-mu) law. After a
+# deliberate change, print every case's digest at --workers 1 and 2, as the
+# test below computes it, with
 #   PYTHONPATH=src:tests python -c "import test_cli as t; [print(c, w, t.sweep_digest(c, w)) for c in t.SWEEP_GOLDENS for w in '12']"
 SWEEP_GOLDENS = {
     "coordinated": (["--schemes", "coordinated-fdma,coordinated-tdma,coordinated-noma",
                      "--lambda-min", "5000", "--lambda-max", "20000", "--lambda-steps", "4"],
-                    "9f4c9b071f3b563b03203232da2ca9f5d726061e65967388c7cfa6f03559ca94"),
+                    "e8d61d8e734b2e657d2c7ea4db70970fafbafbb2ce8698e2d236ab41b0dbd705"),
     "uncoordinated": (["--schemes", UNCOORDINATED_SCHEMES],
                       "40ca3e1ef360c80f4407c29334bcde56f14c67903881ccafc9bfe4bfb67062c1"),
     "uncoordinated-fine-minima": (["--schemes", UNCOORDINATED_SCHEMES, "--min-slot-s", "1e-4",
@@ -834,7 +835,7 @@ SWEEP_GOLDENS = {
                                      "coordinated-fdma,coordinated-tdma,coordinated-noma",
                                      "--lambda-min", "5000", "--lambda-max", "20000",
                                      "--lambda-steps", "4", "--enforce-minimum"],
-                                    "b93846b2a2a88a2907a2e4cb057178b2ed63b30c4db84bc05e5b8ecb4d7f6edf"),
+                                    "9e4d4c388c3c9124c8c6d12fb38be8a0f4328a63ddde0b69b32a8036a49680da"),
     "uncoordinated-pathloss-exp": (["--schemes", UNCOORDINATED_SCHEMES, "--pathloss-exp", "3.1"],
                                    "2a6c3519c61de87240c9889ab7caaf3bf94f28a9e8b81c509bbba3d19c99deb4"),
     "uncoordinated-slot-s": (["--schemes", UNCOORDINATED_SCHEMES, "--slot-s", "10"],

@@ -973,25 +973,25 @@ def test_greedy_admission_does_not_depend_on_chunking(count, budget, minimum, de
             assert count(Chunked(gains, cuts), params) == whole
 
 
-class ZeroFirstSpacing:
-    """A generator whose first exponential draw is exactly 0."""
+class ZeroFirstUniform:
+    """A generator whose first uniform draw is exactly 0."""
 
     def __init__(self, rng):
         self.rng, self.first = rng, True
 
-    def standard_exponential(self, size=None, out=None):
-        draws = self.rng.standard_exponential(size, out=out)
+    def random(self, size=None, out=None):
+        draws = self.rng.random(size, out=out)
         if self.first:
             draws[0], self.first = 0.0, False
         return draws
 
-    def standard_gamma(self, shape):
-        return self.rng.standard_gamma(shape)
+    def beta(self, a, b):
+        return self.rng.beta(a, b)
 
 
 def test_zero_spacing_reaches_no_kernel_as_inf_or_nan(params):
     def devices(count):
-        return StrongestFirst(count, params.pathloss_exp, ZeroFirstSpacing(trial_rng(6, 0)))
+        return StrongestFirst(count, params.pathloss_exp, ZeroFirstUniform(trial_rng(6, 0)))
 
     # v_(1) = 0 is held at 2**-53, the nearest placement 1 - random() gives
     gains = devices(3000).reader()(FIRST_CHUNK)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -99,13 +100,19 @@ def test_strongest_first_chunks_double_and_descend(params):
     sized = [read(count) for count in (5000, 5000, 1, 99, 10 ** 6, 10 ** 6)]
     assert [part.size for part in sized] == [2048, 4096, 1, 99, 8092, 5664]
     assert np.array_equal(np.concatenate(sized), np.concatenate(chunks))
-    # a chunk is drawn whole when its first device is read, and only then
+    # a chunk is drawn whole when its first device is read, and only then:
+    # its top placement's Beta, then the uniforms below it; the last chunk,
+    # of every device left, its uniforms alone
     rng, reference = trial_rng(3, 1), trial_rng(3, 1)
     read = StrongestFirst(20_000, params.pathloss_exp, rng).reader()
-    for size, drawn in ((2048, 2048), (4096, 6144)):
+    for size, left in ((2048, 20_000), (4096, 17_952), (8192, 13_856), (5664, 5664)):
         read(1)
-        reference.standard_exponential(size)
-        reference.standard_gamma(20_000 + 1 - drawn)
+        if size < left:
+            reference.beta(size, left - size + 1)
+            reference.random(size - 1)
+        else:
+            reference.random(size)
+        assert rng.bit_generator.state == reference.bit_generator.state
         read(size - 1)   # the rest of the chunk
         assert rng.bit_generator.state == reference.bit_generator.state
     gains = np.concatenate(chunks)
@@ -126,29 +133,44 @@ def test_strongest_first_chunks_double_and_descend(params):
 
 
 def test_strongest_first_draws_only_what_is_read():
-    # one device read: its chunk, 2048 exponentials and one gamma, as a
-    # fresh stream draws
+    # one device read: its chunk, one Beta and 2047 uniforms, as a fresh
+    # stream draws
     rng, reference = trial_rng(5, 2), trial_rng(5, 2)
     assert StrongestFirst(10 ** 9, 4.0, rng).reader()(1).size == 1
-    reference.standard_exponential(2048)
-    reference.standard_gamma(10 ** 9 + 1 - 2048)
+    reference.beta(2048, 10 ** 9 + 1 - 2048)
+    reference.random(2047)
     assert rng.random() == reference.random()
 
 
-def test_tail_bound_in_an_unscaled_chunk_is_below_the_mapped_log2_gain():
-    # The first chunk read, tail_log2_gain draws the second and bounds device
-    # ``last`` in it before the chunk is scaled; the reader then scales and
-    # maps that chunk. Without its pad of 1 + (k + 8) 2**-50, about a third
-    # of these bounds exceed the log2 gain read for the same device.
+def test_tail_bound_takes_the_placement_the_reader_gives(monkeypatch):
+    # After 0, 1 or 2 reads, tail_log2_gain(last) bounds a device ``last`` of
+    # the chunk being read: unsorted after 0 or 1 reads, so np.partition picks
+    # its uniform. The placement it takes the log2 of is bitwise the one a
+    # reader of placements (path-loss exponent -2: gain v**1) gives device
+    # ``last``, and its bound less the certificate's 2**-43 margin is below
+    # the log2 gain read for it. tail_log2_gain of the devices read takes the
+    # last read placement, 2**-53 before any.
+    logged = []
+    monkeypatch.setattr(model, "math", types.SimpleNamespace(
+        log2=lambda v: logged.append(v) or math.log2(v)))
     pick = trial_rng(29, 0)
-    for instance in range(200):
-        n = int(pick.integers(FIRST_CHUNK + 1, 40_001))
-        last = int(pick.integers(FIRST_CHUNK + 1, min(n, 3 * FIRST_CHUNK) + 1))
-        source = StrongestFirst(n, 4.0, trial_rng(29, 1, instance))
-        read = source.reader(log2=True)
-        read(FIRST_CHUNK)
+    for instance in range(300):
+        done = int(pick.integers(0, 3)) * FIRST_CHUNK
+        n = int(pick.integers(done + 1, 40_001))
+        end = (3 if done else 1) * FIRST_CHUNK   # the chunk's last device
+        last = int(pick.integers(done + 1, min(n, end) + 1))
+        source, placed = (StrongestFirst(n, exponent, trial_rng(29, 1, instance))
+                          for exponent in (4.0, -2.0))
+        read, place = source.reader(log2=True), placed.reader()
+        below = [2.0 ** -53]
+        for _ in range(done // FIRST_CHUNK):
+            read(FIRST_CHUNK)
+            below = place(FIRST_CHUNK)
+        assert source.tail_log2_gain(done) == math.log2(below[-1]) * -2.0
+        assert logged[-1] == below[-1]
         bound = source.tail_log2_gain(last)
-        assert bound <= read(2 * FIRST_CHUNK)[last - FIRST_CHUNK - 1], (n, last)
+        assert logged[-1] == place(2 * FIRST_CHUNK)[last - done - 1], (n, done, last)
+        assert bound * (1.0 - 2.0 ** -43) <= read(2 * FIRST_CHUNK)[last - done - 1]
 
 
 def test_gain_overflow_is_decided_once_per_source(monkeypatch):
